@@ -62,9 +62,11 @@ struct LoadResult {
   std::int64_t wasted_bytes = 0;  // ghost fetches from inaccurate hints
   int requests = 0;
   int cache_hits = 0;
-  // Events the simulation loop executed for this load. Pure observability
-  // (throughput benchmarks report simulated events/sec from it); never feeds
-  // back into simulated numbers.
+  // Heap events the simulation loop executed for this load. Pure
+  // observability (throughput benchmarks report simulated events/sec from
+  // it); never feeds back into simulated numbers. It fell about 2.6x when
+  // TCP stopped scheduling per-segment events (DESIGN.md §10), with every
+  // other field unchanged.
   std::int64_t sim_events = 0;
 
   std::vector<ResourceTiming> timings;

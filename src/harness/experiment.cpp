@@ -54,6 +54,7 @@ browser::LoadResult run_page_load(const web::PageModel& page,
   // result-cache key, which carries seed and page separately — is unaffected.
   net::Network network(loop, ncfg,
                        sim::derive_seed(options.seed ^ page.page_id(), "rtt"));
+  network.set_delivery_audit(options.delivery_audit);
 
   web::LoadIdentity ident;
   ident.wall_time = options.when;
@@ -154,9 +155,11 @@ browser::LoadResult run_page_load(const web::PageModel& page,
     if (options.trace_sink) options.trace_sink(*recorder);
     if (trace_to_dir) {
       // One file per load, named by job identity so any VROOM_JOBS worker
-      // assignment produces the same set of files.
+      // assignment produces the same set of files. The device is part of
+      // the identity: deploy's micro table loads each page once per device.
       recorder->write_json(trace_dir + "/trace_" + slugify(strategy.name) +
-                           "_p" + std::to_string(page.page_id()) + "_n" +
+                           "_" + slugify(options.device.name) + "_p" +
+                           std::to_string(page.page_id()) + "_n" +
                            std::to_string(nonce) + ".json");
     }
   }

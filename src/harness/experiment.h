@@ -40,6 +40,10 @@ struct RunOptions {
   // event loop built inside run_page_load). Independently, VROOM_TRACE=<dir>
   // enables recording and writes one Chrome-trace JSON file per load.
   std::function<void(const trace::Recorder&)> trace_sink;
+  // Invariant checks: when set, every connection of every load records its
+  // byte and callback totals here (see net::DeliveryAudit). Serial loads
+  // only; such runs bypass the result cache.
+  net::DeliveryAudit* delivery_audit = nullptr;
 };
 
 // One load of one page under one strategy.

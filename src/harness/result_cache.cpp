@@ -102,6 +102,7 @@ CacheKey result_cache_key(const baselines::Strategy& strategy,
 bool result_cache_usable(const RunOptions& options, const Env& env) {
   if (options.cache != nullptr) return false;  // order-dependent warm cache
   if (options.trace_sink) return false;        // per-load side effects
+  if (options.delivery_audit != nullptr) return false;  // ditto
   if (env.trace_enabled()) return false;       // ditto (JSON per load)
   return true;
 }

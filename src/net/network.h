@@ -67,6 +67,22 @@ struct NetworkConfig {
   static NetworkConfig local_usb();
 };
 
+// Invariant audit of the TCP delivery model over whole page loads
+// (RunOptions::delivery_audit, tests/property_test.cpp). While one is
+// attached, every connection wraps its chunks' callbacks to check that each
+// fires exactly once, first byte before delivered, and records its totals
+// here when it is destroyed. Not thread-safe: attach it to serial loads.
+struct DeliveryAudit {
+  struct Connection {
+    std::int64_t bytes_sent = 0;       // chunk bytes queued by send_chunk
+    std::int64_t bytes_delivered = 0;  // bytes_delivered() at teardown
+    std::int64_t chunks = 0;
+    std::int64_t chunks_completed = 0;  // first byte, then delivered
+    std::int64_t misfires = 0;          // callbacks out of that order
+  };
+  std::vector<Connection> connections;
+};
+
 class Network {
  public:
   Network(sim::EventLoop& loop, NetworkConfig config, std::uint64_t rtt_seed);
@@ -102,6 +118,9 @@ class Network {
   // deterministic.
   int alloc_conn_id() { return ++conn_seq_; }
 
+  DeliveryAudit* delivery_audit() const { return delivery_audit_; }
+  void set_delivery_audit(DeliveryAudit* audit) { delivery_audit_ = audit; }
+
  private:
   sim::EventLoop& loop_;
   NetworkConfig config_;
@@ -114,6 +133,7 @@ class Network {
   // Starts deep in the past: the radio is idle when a session begins.
   sim::Time radio_active_until_ = INT64_MIN / 2;
   std::unique_ptr<sim::Rng> loss_rng_;
+  DeliveryAudit* delivery_audit_ = nullptr;
 };
 
 }  // namespace vroom::net

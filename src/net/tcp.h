@@ -3,8 +3,15 @@
 // Models the pieces of TCP that shape page-load timing on an LTE access
 // link: DNS lookup, 3-way handshake, TLS setup RTTs, slow start from an
 // initial window, and in-order byte delivery through the shared bottleneck
-// (`Network::downlink`). Loss is not modeled — the paper's replay runs over
-// a good-signal LTE hotspot where retransmissions are rare; see DESIGN.md.
+// (`Network::downlink`). A lost segment (NetworkConfig::loss_rate, off by
+// default) costs a retransmission timeout and half the window.
+//
+// Heap events exist only where another event could observe state
+// (DESIGN.md §10): one arrival event per burst pump() sends, a delivery
+// event only for a segment holding some chunk's first or last byte, and the
+// ACKs, kept in a per-connection ledger, enter the heap one at a time and
+// only while the connection has unsent data or is traced. Every callback
+// fires at the same time and in the same order as a per-segment model's.
 //
 // Server-to-client data is enqueued as `Chunk`s tagged with a stream id.
 // Two writer disciplines are supported:
@@ -43,6 +50,7 @@ class TcpConnection {
                 WriterDiscipline discipline = WriterDiscipline::Ordered,
                 std::uint32_t domain_id = 0xffffffffu);
 
+  ~TcpConnection();
   TcpConnection(const TcpConnection&) = delete;
   TcpConnection& operator=(const TcpConnection&) = delete;
 
@@ -74,11 +82,15 @@ class TcpConnection {
   void send_chunk(std::uint32_t stream_id, int priority, Chunk chunk);
   void send_chunk(Chunk chunk) { send_chunk(0, 0, std::move(chunk)); }
 
+  // Bytes delivered to the client: exact at every chunk callback and once
+  // everything sent has arrived; in between it may lag by the segments
+  // delivered since the last chunk edge.
   std::int64_t bytes_delivered() const { return bytes_delivered_total_; }
 
  private:
   struct PendingChunk {
     Chunk chunk;
+    std::int64_t size;  // bytes on the wire (at least 1)
     std::int64_t to_send;
     std::int64_t to_deliver;
     bool first_byte_fired = false;
@@ -90,6 +102,13 @@ class TcpConnection {
     std::size_t send_cursor = 0;     // first chunk with to_send > 0
     std::size_t deliver_cursor = 0;  // first chunk with to_deliver > 0
     std::int64_t inflight = 0;       // un-acknowledged bytes (flow control)
+    // Access-link bookkeeping. The link is FIFO, so when a segment is
+    // enqueued its place in the stream's delivered bytes is already fixed:
+    // it covers bytes linked+1 .. linked+seg.
+    std::int64_t linked = 0;            // bytes enqueued on the downlink
+    std::size_t link_cursor = 0;        // chunk holding byte linked+1
+    std::int64_t link_chunk_start = 0;  // bytes before chunk link_cursor
+    std::int64_t uncredited = 0;        // enqueued since the last edge
     // Exact "no bytes left to send": chunks after send_cursor always have
     // to_send > 0 (pump drains strictly in order), so checking the cursor
     // chunk suffices. Transitions are tracked in `active_` — pick_stream()
@@ -100,6 +119,19 @@ class TcpConnection {
               chunks[send_cursor].to_send == 0);
     }
   };
+  // A segment between pump() and the access link.
+  struct Segment {
+    std::uint32_t stream;
+    std::int64_t bytes;
+  };
+  // A delivered segment's ACK (and WINDOW_UPDATE), keyed as the event the
+  // per-segment model scheduled at delivery time. key.seq stays 0 until the
+  // segment's edge delivery has run and drawn it.
+  struct Ack {
+    sim::EventKey key;
+    std::uint32_t stream;
+    std::int64_t bytes;
+  };
 
   Stream& stream_for(std::uint32_t id, int priority);
   Stream* pick_stream();
@@ -109,8 +141,22 @@ class TcpConnection {
   void activate(std::size_t stream_index);
   void deactivate(std::size_t stream_index);
   void pump();
-  void on_segment_at_client(std::size_t stream_index, std::int64_t seg);
-  void on_ack(std::size_t stream_index, std::int64_t seg);
+  // The burst pump() sent into to_link_[queue] reaches the access link.
+  void arrive(int queue, std::size_t count);
+  // Edge delivery: credits `bytes` stream bytes (and `total` connection
+  // bytes) delivered since the previous edge, firing chunk callbacks.
+  void deliver(std::uint32_t stream_index, std::int64_t bytes,
+               std::int64_t total, std::uint64_t ack_index);
+  void on_ack();
+  // Applies the ledger's first ACK and drops it from the ledger.
+  void apply_ack();
+  // Applies the ledger ACKs the per-segment model would already have run.
+  void apply_due_acks();
+  // Wraps `chunk`'s callbacks to check their order (Network audit only).
+  void audit_chunk(Chunk& chunk);
+  // Keeps the ledger's first ACK in the heap exactly while an ACK could
+  // make pump() send (active_ non-empty) or a trace recorder is attached.
+  void sync_ack_timer();
 
   Network& net_;
   std::string domain_;
@@ -134,6 +180,21 @@ class TcpConnection {
   std::int64_t inflight_ = 0;
   std::int64_t stream_window_ = 0;  // 0 = no per-stream flow control
   std::int64_t bytes_delivered_total_ = 0;
+  std::int64_t uncredited_total_ = 0;  // enqueued since the last edge
+
+  // Segments on their way to the access link: [0] arrive half an RTT after
+  // pump() sent them, [1] a retransmission timeout later (lost once).
+  std::deque<Segment> to_link_[2];
+  // The ACK ledger: one entry per delivered segment, in delivery order, so
+  // keys strictly increase. ledger_base_ is the absolute index of front().
+  std::deque<Ack> ledger_;
+  std::uint64_t ledger_base_ = 0;
+  sim::EventId ack_timer_;
+  bool ack_armed_ = false;
+
+  // Delivery audit state, used only while the Network has an audit.
+  DeliveryAudit::Connection audit_;
+  std::vector<std::uint8_t> audit_fired_;  // per chunk: callbacks fired
 };
 
 }  // namespace vroom::net

@@ -2,13 +2,18 @@
 //
 // Events are callbacks scheduled at absolute or relative virtual times and
 // executed in (time, insertion-order) order, so simultaneous events are
-// deterministic. The loop never sleeps: running it advances virtual time
-// instantaneously, which makes week-long page-evolution experiments cheap.
+// deterministic. Internally the order key is (time, scheduling time, seq):
+// seqs are handed out in execution order, so for ordinary events the middle
+// term never reorders anything, but it lets a layer that skipped an event
+// schedule its consequence later under the key it would have had (see
+// schedule_keyed and DESIGN.md §10). The loop never sleeps: running it
+// advances virtual time instantaneously, which makes week-long
+// page-evolution experiments cheap.
 //
 // Internals are built for the per-load hot path (a page load executes a few
 // thousand events, a fleet run hundreds of millions): callbacks live in a
 // recycled slab of SmallFn slots (no per-event heap allocation for typical
-// closures), the heap orders 24-byte POD entries, and cancellation is O(1)
+// closures), the heap orders 32-byte POD entries, and cancellation is O(1)
 // and idempotent — a cancelled entry becomes a tombstone that the pop path
 // skips when its generation no longer matches the slot. reset() keeps the
 // slab and heap capacity so fleet workers reuse one loop's storage across
@@ -28,18 +33,33 @@ class Recorder;
 
 namespace vroom::sim {
 
-// Handle used to cancel a pending event. Holds the event's slab slot and its
-// generation (the global insertion seq); cancelling a fired, re-used, or
-// default-constructed id is a no-op because the generation no longer matches.
+// Handle used to cancel a pending event. Holds the event's slab slot and the
+// slot's generation, which advances every time the slot is freed; cancelling
+// a fired, re-used, or default-constructed id is a no-op because the
+// generation no longer matches.
 class EventId {
  public:
   EventId() = default;
 
  private:
   friend class EventLoop;
-  EventId(std::uint32_t slot, std::uint64_t seq) : slot_(slot), seq_(seq) {}
-  std::uint32_t slot_ = 0;
-  std::uint64_t seq_ = 0;  // 0 means "no event"
+  EventId(std::uint32_t slot, std::uint32_t gen) : slot_(slot), gen_(gen) {}
+  std::uint32_t slot_ = 0xffffffffu;  // no slot: "no event"
+  std::uint32_t gen_ = 0;
+};
+
+// Execution-order key of an event: virtual time, then the virtual time at
+// which it was scheduled, then the seq drawn when it was scheduled.
+struct EventKey {
+  Time at = 0;
+  Time parent_at = 0;
+  std::uint64_t seq = 0;
+
+  friend bool operator<(const EventKey& a, const EventKey& b) {
+    if (a.at != b.at) return a.at < b.at;
+    if (a.parent_at != b.parent_at) return a.parent_at < b.parent_at;
+    return a.seq < b.seq;
+  }
 };
 
 class EventLoop {
@@ -59,6 +79,22 @@ class EventLoop {
   EventId schedule_in(Time delay, Callback cb) {
     return schedule_at(now_ + (delay < 0 ? 0 : delay), std::move(cb));
   }
+
+  // Draws the next seq without scheduling anything. A layer that skips an
+  // event (TCP's per-segment deliveries) reserves the seq the event's
+  // consequence would have drawn, so it can later schedule it with
+  // schedule_keyed in its original order.
+  std::uint64_t reserve_seq() { return next_seq_++; }
+
+  // Schedules `cb` under an explicit order key, typically
+  // {at, time the skipped event would have run, reserve_seq()}. The key must
+  // not precede the running event's.
+  EventId schedule_keyed(EventKey key, Callback cb);
+
+  // True when an event keyed `key` would already have run: its key precedes
+  // the running event's or, between run()/step() calls, it lies within the
+  // part of the timeline the loop has executed.
+  bool before_running(const EventKey& key) const { return key < running_; }
 
   // Drops a pending event. Idempotent: default-constructed, already-fired,
   // and already-cancelled ids are no-ops, and never perturb pending().
@@ -102,32 +138,36 @@ class EventLoop {
 
  private:
   // Min-heap entry; the callback lives in slots_[slot]. An entry is live iff
-  // its seq still matches the slot's generation — cancel() frees the slot,
+  // its gen still matches the slot's generation — cancel() frees the slot,
   // leaving the entry behind as a tombstone for the pop path to skip.
   struct HeapEntry {
-    Time at;
-    std::uint64_t seq;
+    EventKey key;
     std::uint32_t slot;
+    std::uint32_t gen;
   };
   struct Later {
     bool operator()(const HeapEntry& a, const HeapEntry& b) const {
-      if (a.at != b.at) return a.at > b.at;
-      return a.seq > b.seq;
+      return b.key < a.key;
     }
   };
   struct Slot {
     Callback cb;
-    std::uint64_t seq = 0;        // generation; 0 means "free"
+    std::uint32_t gen = 0;        // advanced each time the slot is freed
     std::uint32_t next_free = 0;  // free-list link, valid while free
   };
   static constexpr std::uint32_t kNoFreeSlot = 0xffffffffu;
 
+  EventId push(EventKey key, Callback cb);
   std::uint32_t acquire_slot();
   void release_slot(std::uint32_t slot);
 
   Time now_ = 0;
   trace::Recorder* recorder_ = nullptr;
   std::uint64_t next_seq_ = 1;
+  // Key of the running event; between run()/step() calls, the key of the
+  // last executed event, or {until, kNever, max} once everything up to
+  // `until` has run.
+  EventKey running_;
   std::size_t live_ = 0;  // scheduled and neither fired nor cancelled
   std::vector<HeapEntry> heap_;
   std::vector<Slot> slots_;

@@ -6,8 +6,9 @@
 // key=value pairs; the header line carries page-level fields):
 //
 //   page id=7 class=news first_party=news7.com shards=static.news7.com,...
-//   res id=0 parent=-1 type=html via=tag off=0 size=91234 domain=news7.com \
+//   res id=0 parent=-1 type=html via=tag off=0 size=91234 domain=news7.com
 //       vol=hourly period=1800000000 phase=0 flags=above_fold
+//   (one line in the file; wrapped here)
 //   res id=1 parent=0 type=css ...
 //
 // Every field of web::Resource round-trips.

@@ -1,8 +1,9 @@
 // Regression tests for the EventLoop rework: O(1) idempotent cancellation,
 // correct pending()/empty() accounting under pathological cancels (the seed
 // implementation corrupted both when cancelling fired, doubly-cancelled, or
-// default-constructed ids), storage reuse via reset()/PooledEventLoop, and
-// the SmallFn small-buffer callable the slab stores.
+// default-constructed ids), storage reuse via reset()/PooledEventLoop, the
+// (time, scheduling time, seq) order key with its keyed-scheduling entry
+// points, and the SmallFn small-buffer callable the slab stores.
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -153,6 +154,80 @@ TEST(EventLoopResetTest, PooledLoopReuseIsTransparent) {
     EXPECT_EQ(pooled->run(), 1u);
     EXPECT_EQ(fired, 1);
   }
+}
+
+TEST(EventLoopOrderTest, ScheduleAtKeepsTimeThenInsertionOrder) {
+  // The (time, scheduling time, seq) key orders ordinary events exactly as
+  // (time, seq): seqs are drawn in execution order.
+  EventLoop loop;
+  std::vector<char> order;
+  loop.schedule_at(ms(10), [&] {
+    order.push_back('A');
+    loop.schedule_at(ms(20), [&] { order.push_back('D'); });
+    loop.schedule_at(ms(10), [&] { order.push_back('E'); });
+  });
+  loop.schedule_at(ms(20), [&] { order.push_back('B'); });
+  loop.schedule_at(ms(10), [&] { order.push_back('C'); });
+  EXPECT_EQ(loop.run(), 5u);
+  EXPECT_EQ(order, (std::vector<char>{'A', 'C', 'E', 'B', 'D'}));
+}
+
+TEST(EventLoopOrderTest, KeyedEventRunsWhereItsSkippedParentWouldPutIt) {
+  // An event keyed {15ms, 5ms, seq reserved at 0} runs as if something at
+  // 5ms scheduled it before any other 5ms event ran: after every 15ms event
+  // scheduled earlier than 5ms, before every one scheduled at 5ms.
+  EventLoop loop;
+  std::vector<std::string> order;
+  const std::uint64_t reserved = loop.reserve_seq();
+  loop.schedule_at(ms(5), [&] {
+    order.push_back("x@5");
+    loop.schedule_at(ms(15), [&] { order.push_back("y@15 from 5"); });
+  });
+  loop.schedule_at(ms(15), [&] { order.push_back("z@15 from 0"); });
+  loop.schedule_at(ms(1), [&] {
+    loop.schedule_keyed(EventKey{ms(15), ms(5), reserved},
+                        [&] { order.push_back("keyed@15 from 5"); });
+  });
+  EXPECT_EQ(loop.run(), 5u);
+  EXPECT_EQ(order, (std::vector<std::string>{"x@5", "z@15 from 0",
+                                             "keyed@15 from 5",
+                                             "y@15 from 5"}));
+}
+
+TEST(EventLoopOrderTest, BeforeRunningComparesWithTheRunningKey) {
+  EventLoop loop;
+  EXPECT_FALSE(loop.before_running(EventKey{0, 0, 1}));  // nothing ran yet
+  loop.schedule_at(ms(10), [&] {
+    EXPECT_TRUE(loop.before_running(EventKey{ms(9), ms(9), 1000}));
+    EXPECT_TRUE(loop.before_running(EventKey{ms(10), 0, 0}));
+    EXPECT_FALSE(loop.before_running(EventKey{ms(10), ms(10), 0}));
+    EXPECT_FALSE(loop.before_running(EventKey{ms(11), 0, 0}));
+  });
+  loop.schedule_at(ms(40), [] {});
+  // Stopping at `until` means everything up to it has run.
+  EXPECT_EQ(loop.run(ms(30)), 1u);
+  EXPECT_TRUE(loop.before_running(EventKey{ms(30), ms(30), 1000}));
+  EXPECT_FALSE(loop.before_running(EventKey{ms(31), 0, 0}));
+  EXPECT_EQ(loop.run(), 1u);
+  EXPECT_TRUE(loop.before_running(EventKey{kNever - 1, 0, 0}));
+  loop.reset();
+  EXPECT_FALSE(loop.before_running(EventKey{0, 0, 1}));
+}
+
+TEST(EventLoopOrderTest, CancelledKeyedEventCanBeRearmedOnce) {
+  // A layer may cancel a keyed event and re-arm it under the same key; the
+  // stale id must neither fire nor kill the re-armed event.
+  EventLoop loop;
+  int fired = 0;
+  const EventKey key{ms(10), 0, loop.reserve_seq()};
+  const EventId first = loop.schedule_keyed(key, [&] { ++fired; });
+  loop.cancel(first);
+  EXPECT_EQ(loop.pending(), 0u);
+  loop.schedule_keyed(key, [&] { ++fired; });
+  loop.cancel(first);
+  EXPECT_EQ(loop.pending(), 1u);
+  EXPECT_EQ(loop.run(), 1u);
+  EXPECT_EQ(fired, 1);
 }
 
 TEST(SmallFnTest, InlineAndHeapClosuresInvoke) {

@@ -297,7 +297,9 @@ TEST_F(AmpTest, StructuralRestrictionsApplied) {
   ASSERT_EQ(amp_.size(), page_.size());
   for (const auto& r : amp_.resources()) {
     EXPECT_FALSE(r.blocks_parser) << r.id;
-    if (r.is_iframe_doc) EXPECT_TRUE(r.post_onload) << r.id;
+    if (r.is_iframe_doc) {
+      EXPECT_TRUE(r.post_onload) << r.id;
+    }
     if (r.type == web::ResourceType::Image && !r.in_iframe) {
       EXPECT_NE(r.via, web::DiscoveryVia::JsExec) << r.id;
     }

@@ -1,8 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <string>
+#include <vector>
+
 #include "net/link.h"
 #include "net/network.h"
 #include "net/tcp.h"
+#include "trace/trace.h"
 
 namespace vroom::net {
 namespace {
@@ -195,6 +200,177 @@ TEST_F(TcpTest, TwoConnectionsShareTheAccessLink) {
   loop_.run();
   // Together they move 2 MB; the shared 10 Mbps link needs >= 1.6s.
   EXPECT_GT(std::max(d1, d2), sim::from_seconds(2 * bytes * 8.0 / 10e6));
+}
+
+// Records every chunk callback as "<chunk>.<first|done>" with its time.
+struct CallbackLog {
+  std::vector<std::string> names;
+  std::vector<sim::Time> times;
+
+  TcpConnection::Chunk chunk(sim::EventLoop& loop, const std::string& name,
+                             std::int64_t bytes) {
+    TcpConnection::Chunk c;
+    c.bytes = bytes;
+    c.on_first_byte = [this, &loop, name] { add(name + ".first", loop); };
+    c.on_delivered = [this, &loop, name] { add(name + ".done", loop); };
+    return c;
+  }
+  void add(const std::string& name, sim::EventLoop& loop) {
+    names.push_back(name);
+    times.push_back(loop.now());
+  }
+};
+
+TEST_F(TcpTest, CallbackTimesFollowTheLinkArithmetic) {
+  // Five segments leave in one burst (the initial window is ten) and reach
+  // the access link half an RTT later; each chunk edge then fires when the
+  // FIFO link finishes serializing the segment that holds it.
+  TcpConnection conn(net_, "a.com", false);
+  const std::int64_t mss = net_.config().mss_bytes;
+  CallbackLog log;
+  sim::Time sent = -1;
+  conn.connect([&] {
+    sent = loop_.now();
+    conn.send_chunk(log.chunk(loop_, "a", 2 * mss));
+    conn.send_chunk(log.chunk(loop_, "b", 3 * mss));
+  });
+  loop_.run();
+
+  sim::EventLoop ref_loop;
+  Link ref(ref_loop, net_.config().downlink_bps);
+  ref_loop.advance_to(sent + sim::ms(50));
+  std::vector<sim::Time> done;
+  for (int i = 0; i < 5; ++i) done.push_back(ref.enqueue(mss));
+  EXPECT_EQ(log.names, (std::vector<std::string>{"a.first", "a.done",
+                                                 "b.first", "b.done"}));
+  EXPECT_EQ(log.times,
+            (std::vector<sim::Time>{done[0], done[1], done[2], done[4]}));
+  EXPECT_EQ(conn.bytes_delivered(), 5 * mss);
+  EXPECT_EQ(net_.downlink().busy_until(), done[4]);
+}
+
+// Runs chunks of 1000, 5 and 3000 bytes on a network whose loss draws are
+// (lost, kept, kept, kept, kept): the first segment takes an RTO, so the
+// second segment's credit finishes the first chunk and the third's crosses
+// two more chunk edges.
+CallbackLog lossy_edge_crossing(bool traced) {
+  NetworkConfig cfg = NetworkConfig::lte();
+  cfg.loss_rate = 0.5;
+  std::uint64_t seed = 1;
+  for (;; ++seed) {
+    sim::EventLoop probe_loop;
+    Network probe(probe_loop, cfg, seed);
+    std::vector<bool> draws;
+    for (int i = 0; i < 5; ++i) draws.push_back(probe.draw_loss());
+    if (draws == std::vector<bool>{true, false, false, false, false}) break;
+  }
+  sim::EventLoop loop;
+  std::optional<trace::Recorder> recorder;
+  if (traced) recorder.emplace(loop);
+  Network net(loop, cfg, seed);
+  net.set_rtt("a.com", sim::ms(100));
+  TcpConnection conn(net, "a.com", false);
+  CallbackLog log;
+  conn.connect([&] {
+    conn.send_chunk(log.chunk(loop, "a", 1000));
+    conn.send_chunk(log.chunk(loop, "b", 5));
+    conn.send_chunk(log.chunk(loop, "c", 3000));
+  });
+  loop.run();
+  EXPECT_EQ(conn.bytes_delivered(), 4005);
+  return log;
+}
+
+TEST(TcpLossTest, OneDeliveryCrossingTwoChunkEdgesFiresInOrder) {
+  const CallbackLog log = lossy_edge_crossing(/*traced=*/false);
+  ASSERT_EQ(log.names,
+            (std::vector<std::string>{"a.first", "a.done", "b.first",
+                                      "b.done", "c.first", "c.done"}));
+  // Established at 300ms, the burst reaches the 10 Mbps link at 350ms. The
+  // 5-byte segment (4us) credits chunk a's first bytes; the next 1460-byte
+  // delivery (1168us) ends a, carries all of b and starts c. Chunk c
+  // completes when the lost 1000-byte segment lands one RTO (250ms) later.
+  const sim::Time t1 = sim::ms(350) + 4;
+  const sim::Time t2 = t1 + 1168;
+  EXPECT_EQ(log.times,
+            (std::vector<sim::Time>{t1, t2, t2, t2, t2,
+                                    sim::ms(350 + 250) + 800}));
+  // A trace recorder keeps every ACK in the heap; callbacks do not move.
+  const CallbackLog traced = lossy_edge_crossing(/*traced=*/true);
+  EXPECT_EQ(traced.names, log.names);
+  EXPECT_EQ(traced.times, log.times);
+}
+
+TEST_F(TcpTest, NextFlightAfterIdleGapReflectsEveryDueAck) {
+  // The first chunk is one full initial window. Its ACKs return while the
+  // connection has nothing to send, so none of them needs a heap event, yet
+  // the next send_chunk must see all ten: a 20-segment window, so the
+  // whole second chunk leaves in one flight.
+  TcpConnection conn(net_, "a.com", false);
+  const std::int64_t mss = net_.config().mss_bytes;
+  sim::Time resumed = -1, done = -1;
+  conn.connect([&] {
+    TcpConnection::Chunk first;
+    first.bytes = 10 * mss;
+    conn.send_chunk(std::move(first));
+    loop_.schedule_in(sim::seconds(2), [&] {
+      resumed = loop_.now();
+      TcpConnection::Chunk second;
+      second.bytes = 20 * mss;
+      second.on_delivered = [&] { done = loop_.now(); };
+      conn.send_chunk(std::move(second));
+    });
+  });
+  loop_.run();
+  EXPECT_EQ(done, resumed + sim::ms(50) +
+                      20 * net_.downlink().tx_time(mss));
+  EXPECT_EQ(conn.bytes_delivered(), 30 * mss);
+}
+
+TEST_F(TcpTest, SendChunkBeforeAcksReturnWaitsForThem) {
+  // The second chunk is queued after the first window reached the client
+  // but before any ACK is back at the origin: it must wait for the first
+  // ACK (one RTT after the burst left, plus one serialization), not borrow
+  // window from ACKs that are still in flight.
+  TcpConnection conn(net_, "a.com", false);
+  const std::int64_t mss = net_.config().mss_bytes;
+  const sim::Time tx = net_.downlink().tx_time(mss);
+  sim::Time sent = -1, first_byte = -1;
+  conn.connect([&] {
+    sent = loop_.now();
+    TcpConnection::Chunk first;
+    first.bytes = 10 * mss;
+    conn.send_chunk(std::move(first));
+    loop_.schedule_in(sim::ms(70), [&] {
+      TcpConnection::Chunk second;
+      second.bytes = 10 * mss;
+      second.on_first_byte = [&] { first_byte = loop_.now(); };
+      conn.send_chunk(std::move(second));
+    });
+  });
+  loop_.run();
+  EXPECT_EQ(first_byte, sent + sim::ms(100) + tx + sim::ms(50) + tx);
+}
+
+TEST_F(TcpTest, TwoMegabyteTransferEventCountIsPinned) {
+  // 1370 segments. One event per send burst, a delivery event only for the
+  // segments holding the chunk's first and last byte, and an ACK event
+  // only while bytes remain unsent. The window limits this transfer
+  // throughout, so each ACK releases a burst of its own: about two events
+  // per segment, against three (4111 in all) when every segment had its
+  // own arrival, delivery and ACK. A change here changes every load's
+  // sim_events.
+  TcpConnection conn(net_, "a.com", false);
+  bool delivered = false;
+  conn.connect([&] {
+    TcpConnection::Chunk c;
+    c.bytes = 2'000'000;
+    c.on_delivered = [&] { delivered = true; };
+    conn.send_chunk(std::move(c));
+  });
+  EXPECT_EQ(loop_.run(), 2488u);
+  EXPECT_TRUE(delivered);
+  EXPECT_EQ(conn.bytes_delivered(), 2'000'000);
 }
 
 }  // namespace

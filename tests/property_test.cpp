@@ -251,6 +251,72 @@ INSTANTIATE_TEST_SUITE_P(
              web::page_class_name(std::get<1>(info.param));
     });
 
+// ---------- TCP delivery invariants over whole page loads ----------
+
+baselines::Strategy delivery_strategy(int i) {
+  switch (i) {
+    case 0: return baselines::vroom();
+    case 1: return baselines::http2_baseline();
+    default: return baselines::http11();
+  }
+}
+
+net::NetworkConfig delivery_network(int i) {
+  switch (i) {
+    case 0: return net::NetworkConfig::lte();
+    case 1: {
+      net::NetworkConfig lossy = net::NetworkConfig::lte();
+      lossy.loss_rate = 0.01;
+      return lossy;
+    }
+    default: return net::NetworkConfig::threeg();
+  }
+}
+
+std::string delivery_case_name(const std::tuple<int, int>& param) {
+  static const char* const kStrategies[] = {"vroom", "http2", "http11"};
+  static const char* const kNetworks[] = {"lte", "lte_loss1pct", "3g"};
+  return std::string(kStrategies[std::get<0>(param)]) + "_" +
+         kNetworks[std::get<1>(param)];
+}
+
+class DeliveryProperty
+    : public ::testing::TestWithParam<std::tuple<int, int>> {};
+
+TEST_P(DeliveryProperty, ConnectionsConserveBytesAndChunksCompleteInOrder) {
+  const auto [strategy_index, network_index] = GetParam();
+  const baselines::Strategy s = delivery_strategy(strategy_index);
+  harness::RunOptions opt;
+  opt.network = delivery_network(network_index);
+  for (std::uint32_t id = 0; id < 25; ++id) {
+    const web::PageModel page =
+        web::generate_page(42, id, web::PageClass::News);
+    const std::uint64_t nonce = harness::derive_load_nonce(42, id, 0);
+    net::DeliveryAudit audit;
+    harness::RunOptions audited = opt;
+    audited.delivery_audit = &audit;
+    const auto r = harness::run_page_load(page, s, audited, nonce);
+    ASSERT_TRUE(r.finished) << s.name << " page " << id;
+    // Auditing observes; it must not change the load.
+    EXPECT_EQ(r.plt, harness::run_page_load(page, s, opt, nonce).plt);
+    ASSERT_FALSE(audit.connections.empty());
+    for (std::size_t c = 0; c < audit.connections.size(); ++c) {
+      const net::DeliveryAudit::Connection& conn = audit.connections[c];
+      EXPECT_EQ(conn.bytes_delivered, conn.bytes_sent)
+          << s.name << " page " << id << " connection " << c;
+      EXPECT_EQ(conn.chunks_completed, conn.chunks)
+          << s.name << " page " << id << " connection " << c;
+      EXPECT_EQ(conn.misfires, 0)
+          << s.name << " page " << id << " connection " << c;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    NewsSlice, DeliveryProperty,
+    ::testing::Combine(::testing::Range(0, 3), ::testing::Range(0, 3)),
+    [](const auto& info) { return delivery_case_name(info.param); });
+
 // ---------- determinism across the whole pipeline ----------
 
 TEST(DeterminismProperty, IdenticalRunsIdenticalResults) {

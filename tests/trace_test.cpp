@@ -5,6 +5,7 @@
 
 #include <cctype>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <map>
 #include <optional>
@@ -17,6 +18,7 @@
 #include <gtest/gtest.h>
 
 #include "baselines/strategies.h"
+#include "deploy/population.h"
 #include "fleet/fleet.h"
 #include "harness/env.h"
 #include "harness/experiment.h"
@@ -338,9 +340,10 @@ TEST(Trace, IdenticalSeedsGiveByteIdenticalTracesAtAnyJobCount) {
     fleet::run_corpus(corpus, baselines::vroom(), opt, parallel);
   }
 
-  // Filenames derive from job identity (strategy, page, nonce), so the two
-  // sweeps must produce the same set of files with the same bytes.
-  const std::string slug = harness::slugify(baselines::vroom().name);
+  // Filenames derive from job identity (strategy, device, page, nonce), so
+  // the two sweeps must produce the same set of files with the same bytes.
+  const std::string slug = harness::slugify(baselines::vroom().name) + "_" +
+                           harness::slugify(opt.device.name);
   int compared = 0;
   for (const auto& page : corpus.pages()) {
     for (int load = 0; load < opt.loads_per_page; ++load) {
@@ -359,6 +362,46 @@ TEST(Trace, IdenticalSeedsGiveByteIdenticalTracesAtAnyJobCount) {
     }
   }
   EXPECT_EQ(compared, static_cast<int>(corpus.size()) * opt.loads_per_page);
+}
+
+TEST(Trace, DeviceMicroPlanWritesOneFilePerLoadAtAnyJobCount) {
+  // Deploy's micro table loads every page once per device with the same
+  // strategy, seed and nonce; only the device tells those loads apart, so
+  // it must be part of the trace file name or they overwrite each other.
+  ScopedEnv pages_env("VROOM_BENCH_PAGES", nullptr);
+  const web::Corpus corpus = web::Corpus::smoke(7, /*count=*/2);
+  const std::vector<deploy::DeviceShare> mix = deploy::default_device_mix();
+  ASSERT_EQ(mix.size(), 3u);
+  fleet::SweepPlan plan;
+  for (const deploy::DeviceShare& share : mix) {
+    harness::RunOptions opt;
+    opt.seed = 42;
+    opt.device = share.device;
+    opt.loads_per_page = 1;
+    plan.add(corpus, baselines::vroom_stale_hints(0), opt);
+  }
+
+  const std::string base = testing::TempDir() + "vroom_trace_devices";
+  std::filesystem::remove_all(base);
+  std::map<std::string, std::map<std::string, std::string>> by_jobs;
+  for (const char* jobs : {"1", "4"}) {
+    const std::string dir = base + "/jobs" + jobs;
+    ScopedEnv jobs_env("VROOM_JOBS", jobs);
+    ScopedEnv trace_env("VROOM_TRACE", dir.c_str());
+    fleet::run_plan(plan);
+    for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+      by_jobs[jobs][entry.path().filename().string()] =
+          read_file(entry.path().string());
+    }
+  }
+  std::set<std::string> names1, names4;
+  for (const auto& [name, body] : by_jobs["1"]) names1.insert(name);
+  for (const auto& [name, body] : by_jobs["4"]) names4.insert(name);
+  EXPECT_EQ(names1.size(), mix.size() * corpus.size());
+  EXPECT_EQ(names1, names4);
+  for (const auto& [name, body] : by_jobs["1"]) {
+    EXPECT_TRUE(body == by_jobs["4"][name]) << "trace diverged: " << name;
+  }
 }
 
 TEST(Trace, WriteJsonCreatesDirectoriesAndReportsFailure) {
