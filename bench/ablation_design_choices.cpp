@@ -65,7 +65,10 @@ int main() {
     grid.push_back(std::move(s));
   }
 
-  const std::vector<harness::Series> rows = bench::plt_matrix(ns, grid, opt);
+  const auto results =
+      bench::run_plan(fleet::SweepPlan().add_matrix(ns, grid, opt));
+  std::vector<harness::Series> rows;
+  for (const auto& r : results) rows.push_back({r.strategy, r.plt_seconds()});
 
   harness::print_quartile_bars("Ablation 1: client-side staging",
                                "seconds PLT", {rows[0], rows[1]});

@@ -15,10 +15,10 @@ void sweep(const char* label, const net::NetworkConfig& cfg,
   harness::RunOptions opt = bench::default_options();
   opt.network = cfg;
   opt.loads_per_page = 1;
-  const auto results = bench::run_matrix(
+  const auto results = bench::run_plan(fleet::SweepPlan().add_matrix(
       corpus,
       {baselines::vroom(), baselines::http2_baseline(), baselines::http11()},
-      opt);
+      opt));
   std::vector<harness::Series> series;
   for (const auto& r : results) series.push_back({r.strategy, r.plt_seconds()});
   harness::print_quartile_bars(label, "seconds PLT", series);

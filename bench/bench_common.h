@@ -6,9 +6,10 @@
 // size for quick runs and VROOM_JOBS=<n> to size the worker pool (results
 // are bit-identical for any worker count; fleet telemetry goes to stderr).
 //
-// Benches sweep their entire (corpus × strategy) grid through one
-// fleet::SweepPlan pool — multi-corpus grids included — so no strategy or
-// corpus serializes behind another and the longest pages dispatch first.
+// Benches build their entire (corpus × strategy) grid as one
+// fleet::SweepPlan (add / add_matrix) and run it with bench::run_plan, so no
+// strategy or corpus serializes behind another and the longest pages
+// dispatch first.
 #pragma once
 
 #include <cstdio>
@@ -42,39 +43,6 @@ inline std::vector<harness::CorpusResult> run_plan(
   auto results = fleet::run_plan(plan, fo);
   telemetry.print(stderr);
   return results;
-}
-
-// One-corpus convenience: fans the strategy grid through one pool.
-inline std::vector<harness::CorpusResult> run_matrix(
-    const web::Corpus& corpus,
-    const std::vector<baselines::Strategy>& strategies,
-    const harness::RunOptions& opt) {
-  fleet::SweepPlan plan;
-  plan.add_matrix(corpus, strategies, opt);
-  return bench::run_plan(plan);
-}
-
-inline harness::Series plt_series(const web::Corpus& corpus,
-                                  const baselines::Strategy& strategy,
-                                  const harness::RunOptions& opt) {
-  auto res = harness::run_corpus(corpus, strategy, opt);
-  return {strategy.name, res.plt_seconds()};
-}
-
-// Sweeps the whole strategy grid through one shared pool and returns one
-// PLT series per strategy, in grid order. Equivalent to (but faster than)
-// one plt_series call per strategy: no pool tail between strategies.
-inline std::vector<harness::Series> plt_matrix(
-    const web::Corpus& corpus,
-    const std::vector<baselines::Strategy>& strategies,
-    const harness::RunOptions& opt) {
-  auto results = bench::run_matrix(corpus, strategies, opt);
-  std::vector<harness::Series> rows;
-  rows.reserve(strategies.size());
-  for (std::size_t i = 0; i < strategies.size(); ++i) {
-    rows.push_back({strategies[i].name, results[i].plt_seconds()});
-  }
-  return rows;
 }
 
 inline void banner(const char* fig, const char* what) {

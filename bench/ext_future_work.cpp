@@ -18,11 +18,11 @@ int main() {
 
   // 1. Vroom + Polaris, including the tail the paper highlights.
   {
-    const auto results = bench::run_matrix(
+    const auto results = bench::run_plan(fleet::SweepPlan().add_matrix(
         ns,
         {baselines::vroom(), baselines::vroom_plus_polaris(),
          baselines::polaris()},
-        opt);
+        opt));
     harness::print_cdf_table("Vroom + Polaris combination", "seconds PLT",
                              {{"Vroom", results[0].plt_seconds()},
                               {"Vroom + Polaris", results[1].plt_seconds()},

@@ -12,11 +12,11 @@ int main() {
   const harness::RunOptions opt = bench::default_options();
   const web::Corpus ns = web::Corpus::news_sports(bench::kSeed);
 
-  const auto results = bench::run_matrix(
+  const auto results = bench::run_plan(fleet::SweepPlan().add_matrix(
       ns,
       {baselines::lower_bound_network(), baselines::lower_bound_cpu(),
        baselines::http11()},
-      opt);
+      opt));
   const auto& network = results[0];
   const auto& cpu = results[1];
   const auto& web_loads = results[2];

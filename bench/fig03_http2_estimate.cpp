@@ -9,11 +9,13 @@ int main() {
   const harness::RunOptions opt = bench::default_options();
   const web::Corpus ns = web::Corpus::news_sports(bench::kSeed);
 
-  harness::print_cdf_table(
-      "Page Load Time", "seconds",
-      bench::plt_matrix(ns,
-                        {baselines::http2_baseline(),
-                         baselines::push_all_static(), baselines::http11()},
-                        opt));
+  const auto results = bench::run_plan(fleet::SweepPlan().add_matrix(
+      ns,
+      {baselines::http2_baseline(), baselines::push_all_static(),
+       baselines::http11()},
+      opt));
+  std::vector<harness::Series> series;
+  for (const auto& r : results) series.push_back({r.strategy, r.plt_seconds()});
+  harness::print_cdf_table("Page Load Time", "seconds", series);
   return 0;
 }

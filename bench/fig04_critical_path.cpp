@@ -9,8 +9,8 @@ int main() {
   const harness::RunOptions opt = bench::default_options();
   const web::Corpus ns = web::Corpus::news_sports(bench::kSeed);
 
-  const auto results = bench::run_matrix(
-      ns, {baselines::http2_baseline(), baselines::vroom()}, opt);
+  const auto results = bench::run_plan(fleet::SweepPlan().add_matrix(
+      ns, {baselines::http2_baseline(), baselines::vroom()}, opt));
   const auto& h2 = results[0];
   const auto& vr = results[1];
 

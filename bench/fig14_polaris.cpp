@@ -10,8 +10,8 @@ int main() {
 
   // Both strategies share one fleet queue so neither serializes behind the
   // other.
-  const auto results = bench::run_matrix(
-      ns, {baselines::vroom(), baselines::polaris()}, opt);
+  const auto results = bench::run_plan(fleet::SweepPlan().add_matrix(
+      ns, {baselines::vroom(), baselines::polaris()}, opt));
 
   harness::print_cdf_table(
       "Page Load Time", "seconds",

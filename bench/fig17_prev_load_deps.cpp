@@ -9,12 +9,12 @@ int main() {
   const web::Corpus ns = web::Corpus::news_sports(bench::kSeed);
 
   // One fleet matrix covers the lower bounds and every plotted series.
-  const auto results = bench::run_matrix(
+  const auto results = bench::run_plan(fleet::SweepPlan().add_matrix(
       ns,
       {baselines::lower_bound_network(), baselines::lower_bound_cpu(),
        baselines::vroom(), baselines::vroom_prev_load_deps(),
        baselines::http2_baseline()},
-      opt);
+      opt));
   const auto& lb_net = results[0];
   const auto& lb_cpu = results[1];
   std::vector<double> bound;

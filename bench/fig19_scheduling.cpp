@@ -9,12 +9,12 @@ int main() {
   const harness::RunOptions opt = bench::default_options();
   const web::Corpus ns = web::Corpus::news_sports(bench::kSeed);
 
-  const auto results = bench::run_matrix(
+  const auto results = bench::run_plan(fleet::SweepPlan().add_matrix(
       ns,
       {baselines::lower_bound_network(), baselines::lower_bound_cpu(),
        baselines::vroom(), baselines::push_all_fetch_asap(),
        baselines::http2_baseline()},
-      opt);
+      opt));
   const auto& lb_net = results[0];
   const auto& lb_cpu = results[1];
   std::vector<double> bound;

@@ -197,20 +197,20 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  std::vector<harness::Series> plt_series;
+  std::vector<harness::Series> rows;
   for (const auto& strategy : strategies) {
     std::vector<double> plts;
     for (const auto& page : page_set) {
       const auto r = harness::run_page_median(page, strategy, opt);
       plts.push_back(sim::to_seconds(r.plt));
     }
-    plt_series.emplace_back(strategy.name, std::move(plts));
+    rows.emplace_back(strategy.name, std::move(plts));
   }
-  harness::print_cdf_table("Page Load Time", "seconds", plt_series);
-  harness::print_quartile_bars("Page Load Time", "seconds", plt_series);
+  harness::print_cdf_table("Page Load Time", "seconds", rows);
+  harness::print_quartile_bars("Page Load Time", "seconds", rows);
 
   if (!csv_file.empty()) {
-    if (harness::write_csv(csv_file, harness::series_to_csv(plt_series))) {
+    if (harness::write_csv(csv_file, harness::series_to_csv(rows))) {
       std::printf("\nwrote %s\n", csv_file.c_str());
     } else {
       std::fprintf(stderr, "cannot write %s\n", csv_file.c_str());

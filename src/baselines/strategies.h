@@ -41,7 +41,7 @@ struct Strategy {
   // protocol, server-aid provider config including the offline-resolver
   // parameters, scheduler, writer discipline, bound modes). Two strategies
   // with equal fingerprints produce bit-identical loads for the same (seed,
-  // page, nonce, device, network); the result cache keys on it.
+  // page, nonce, device, network); run manifests record it per cell.
   std::string fingerprint() const;
 };
 

@@ -1,105 +1,6 @@
 #include "browser/metrics.h"
 
-#include <bit>
-#include <cstring>
-
 namespace vroom::browser {
-
-namespace {
-
-// --- little-endian wire helpers ---------------------------------------
-
-void put_u64(std::string& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) out.push_back(static_cast<char>(v >> (8 * i)));
-}
-void put_i64(std::string& out, std::int64_t v) {
-  put_u64(out, static_cast<std::uint64_t>(v));
-}
-void put_u32(std::string& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) out.push_back(static_cast<char>(v >> (8 * i)));
-}
-void put_double(std::string& out, double v) {
-  put_u64(out, std::bit_cast<std::uint64_t>(v));
-}
-void put_bool(std::string& out, bool v) { out.push_back(v ? 1 : 0); }
-void put_string(std::string& out, const std::string& s) {
-  put_u32(out, static_cast<std::uint32_t>(s.size()));
-  out.append(s);
-}
-
-class Reader {
- public:
-  explicit Reader(std::string_view bytes) : bytes_(bytes) {}
-
-  bool u64(std::uint64_t* v) {
-    if (bytes_.size() - pos_ < 8) return fail();
-    *v = 0;
-    for (int i = 0; i < 8; ++i) {
-      *v |= static_cast<std::uint64_t>(
-                static_cast<unsigned char>(bytes_[pos_ + static_cast<
-                    std::size_t>(i)]))
-            << (8 * i);
-    }
-    pos_ += 8;
-    return true;
-  }
-  bool i64(std::int64_t* v) {
-    std::uint64_t u = 0;
-    if (!u64(&u)) return false;
-    *v = static_cast<std::int64_t>(u);
-    return true;
-  }
-  bool u32(std::uint32_t* v) {
-    if (bytes_.size() - pos_ < 4) return fail();
-    *v = 0;
-    for (int i = 0; i < 4; ++i) {
-      *v |= static_cast<std::uint32_t>(
-                static_cast<unsigned char>(bytes_[pos_ + static_cast<
-                    std::size_t>(i)]))
-            << (8 * i);
-    }
-    pos_ += 4;
-    return true;
-  }
-  bool f64(double* v) {
-    std::uint64_t u = 0;
-    if (!u64(&u)) return false;
-    *v = std::bit_cast<double>(u);
-    return true;
-  }
-  bool boolean(bool* v) {
-    if (bytes_.size() - pos_ < 1) return fail();
-    const unsigned char c = static_cast<unsigned char>(bytes_[pos_++]);
-    if (c > 1) return fail();  // canonical encoding only
-    *v = c != 0;
-    return true;
-  }
-  bool string(std::string* s) {
-    std::uint32_t n = 0;
-    if (!u32(&n)) return false;
-    if (bytes_.size() - pos_ < n) return fail();
-    s->assign(bytes_.substr(pos_, n));
-    pos_ += n;
-    return true;
-  }
-  bool done() const { return ok_ && pos_ == bytes_.size(); }
-  bool ok() const { return ok_; }
-
- private:
-  bool fail() {
-    ok_ = false;
-    return false;
-  }
-  std::string_view bytes_;
-  std::size_t pos_ = 0;
-  bool ok_ = true;
-};
-
-// Bump whenever the field set or their order changes; a mismatch makes
-// deserialize_load_result fail cleanly instead of misreading old bytes.
-constexpr std::uint32_t kLoadResultFormatVersion = 2;
-
-}  // namespace
 
 double speed_index_ms(
     const std::vector<std::pair<sim::Time, double>>& paints) {
@@ -113,105 +14,6 @@ double speed_index_ms(
     si += (w / total_weight) * sim::to_ms(t);
   }
   return si;
-}
-
-std::string serialize_load_result(const LoadResult& r) {
-  std::string out;
-  put_u32(out, kLoadResultFormatVersion);
-  put_bool(out, r.finished);
-  put_i64(out, r.plt);
-  put_i64(out, r.aft);
-  put_double(out, r.speed_index_ms);
-  put_i64(out, r.ttfb);
-  put_i64(out, r.first_paint);
-  put_i64(out, r.dom_content_loaded);
-  put_i64(out, r.all_discovered);
-  put_i64(out, r.all_fetched);
-  put_i64(out, r.high_prio_discovered);
-  put_i64(out, r.high_prio_fetched);
-  put_i64(out, r.net_wait);
-  put_i64(out, r.cpu_busy);
-  put_i64(out, r.bytes_fetched);
-  put_i64(out, r.wasted_bytes);
-  put_u32(out, static_cast<std::uint32_t>(r.requests));
-  put_u32(out, static_cast<std::uint32_t>(r.cache_hits));
-  put_i64(out, r.sim_events);
-  put_u32(out, static_cast<std::uint32_t>(r.timings.size()));
-  for (const ResourceTiming& t : r.timings) {
-    put_string(out, t.url);
-    put_bool(out, t.template_id.has_value());
-    put_u32(out, t.template_id.value_or(0));
-    put_bool(out, t.referenced);
-    put_bool(out, t.processable);
-    put_bool(out, t.in_iframe);
-    put_bool(out, t.hinted);
-    put_bool(out, t.pushed);
-    put_bool(out, t.from_cache);
-    put_i64(out, t.bytes);
-    put_i64(out, t.discovered);
-    put_i64(out, t.requested);
-    put_i64(out, t.complete);
-    put_i64(out, t.processed);
-  }
-  put_u32(out, static_cast<std::uint32_t>(r.trace_counters.size()));
-  for (const auto& [name, value] : r.trace_counters) {
-    put_string(out, name);
-    put_i64(out, value);
-  }
-  return out;
-}
-
-bool deserialize_load_result(std::string_view bytes, LoadResult* out) {
-  Reader in(bytes);
-  std::uint32_t version = 0;
-  if (!in.u32(&version) || version != kLoadResultFormatVersion) return false;
-  LoadResult r;
-  std::uint32_t requests = 0;
-  std::uint32_t cache_hits = 0;
-  if (!in.boolean(&r.finished) || !in.i64(&r.plt) || !in.i64(&r.aft) ||
-      !in.f64(&r.speed_index_ms) || !in.i64(&r.ttfb) ||
-      !in.i64(&r.first_paint) || !in.i64(&r.dom_content_loaded) ||
-      !in.i64(&r.all_discovered) || !in.i64(&r.all_fetched) ||
-      !in.i64(&r.high_prio_discovered) || !in.i64(&r.high_prio_fetched) ||
-      !in.i64(&r.net_wait) || !in.i64(&r.cpu_busy) ||
-      !in.i64(&r.bytes_fetched) || !in.i64(&r.wasted_bytes) ||
-      !in.u32(&requests) || !in.u32(&cache_hits)) {
-    return false;
-  }
-  r.requests = static_cast<int>(requests);
-  r.cache_hits = static_cast<int>(cache_hits);
-  if (!in.i64(&r.sim_events)) return false;
-  std::uint32_t n_timings = 0;
-  if (!in.u32(&n_timings)) return false;
-  r.timings.reserve(n_timings);
-  for (std::uint32_t i = 0; i < n_timings; ++i) {
-    ResourceTiming t;
-    bool has_template = false;
-    std::uint32_t template_id = 0;
-    if (!in.string(&t.url) || !in.boolean(&has_template) ||
-        !in.u32(&template_id) || !in.boolean(&t.referenced) ||
-        !in.boolean(&t.processable) || !in.boolean(&t.in_iframe) ||
-        !in.boolean(&t.hinted) || !in.boolean(&t.pushed) ||
-        !in.boolean(&t.from_cache) || !in.i64(&t.bytes) ||
-        !in.i64(&t.discovered) || !in.i64(&t.requested) ||
-        !in.i64(&t.complete) || !in.i64(&t.processed)) {
-      return false;
-    }
-    if (has_template) t.template_id = template_id;
-    r.timings.push_back(std::move(t));
-  }
-  std::uint32_t n_counters = 0;
-  if (!in.u32(&n_counters)) return false;
-  r.trace_counters.reserve(n_counters);
-  for (std::uint32_t i = 0; i < n_counters; ++i) {
-    std::string name;
-    std::int64_t value = 0;
-    if (!in.string(&name) || !in.i64(&value)) return false;
-    r.trace_counters.emplace_back(std::move(name), value);
-  }
-  if (!in.done()) return false;  // trailing bytes = corrupt entry
-  *out = std::move(r);
-  return true;
 }
 
 }  // namespace vroom::browser

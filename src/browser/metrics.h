@@ -10,7 +10,6 @@
 #include <cstdint>
 #include <optional>
 #include <string>
-#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -85,14 +84,5 @@ struct LoadResult {
 // Speed Index from (render time, visual weight) samples; t=0 completeness is
 // zero and each sample contributes weight/total at its render time.
 double speed_index_ms(const std::vector<std::pair<sim::Time, double>>& paints);
-
-// Stable binary (de)serialization of a LoadResult — every field including
-// per-resource timings and trace_counters — for the on-disk result cache.
-// Fixed-width little-endian integers, doubles as IEEE-754 bit patterns,
-// length-prefixed strings; a leading format version guards evolution.
-// deserialize_load_result returns false (leaving *out unspecified) on any
-// truncation, trailing bytes, or version mismatch.
-std::string serialize_load_result(const LoadResult& r);
-bool deserialize_load_result(std::string_view bytes, LoadResult* out);
 
 }  // namespace vroom::browser

@@ -9,7 +9,7 @@
 // A run is a set of *cells* — one (corpus, strategy, options) entry of a
 // SweepPlan — and every job belongs to exactly one cell. summary() rolls
 // jobs up per cell as well as per run, so a multi-corpus sweep shows where
-// its wall time and cache hits went.
+// its wall time went.
 #pragma once
 
 #include <atomic>
@@ -28,7 +28,6 @@ struct CellTelemetrySummary {
   std::string label;
   std::size_t jobs_submitted = 0;
   std::size_t jobs_completed = 0;
-  std::size_t jobs_from_cache = 0;
   double busy_seconds = 0;       // summed worker time spent on this cell
   double simulated_seconds = 0;  // summed virtual time of the cell's loads
 };
@@ -37,8 +36,8 @@ struct TelemetrySummary {
   int workers = 0;
   std::size_t jobs_submitted = 0;
   std::size_t jobs_completed = 0;
-  // Jobs satisfied from the on-disk result cache (VROOM_RESULT_CACHE)
-  // instead of being simulated; always <= jobs_completed.
+  // Always 0: the on-disk result cache was removed. Kept for the benchmark
+  // program, which still asserts it.
   std::size_t jobs_from_cache = 0;
   int peak_in_flight = 0;
   double wall_seconds = 0;        // begin_run() .. end_run()
@@ -61,9 +60,7 @@ class Telemetry {
   };
 
   // Sizes the per-worker slots and starts the wall clock. Must be called
-  // before any worker reports; resets any previous run. The single-cell
-  // overload serves runs without a plan (one anonymous cell).
-  void begin_run(int workers, std::size_t jobs_submitted);
+  // before any worker reports; resets any previous run.
   void begin_run(int workers, std::size_t jobs_submitted,
                  std::vector<CellPlan> cells);
   void end_run();  // stops the wall clock; call after joining the pool
@@ -71,19 +68,14 @@ class Telemetry {
   // Worker-side hooks. `worker` indexes [0, workers); `cell` indexes the
   // plan cells passed to begin_run. job_started / job_finished bracket each
   // job; the finished hook records the job's wall duration and the virtual
-  // time its simulation covered. A job answered by the result cache
-  // additionally reports job_from_cache between the two.
+  // time its simulation covered.
   void job_started(int worker);
-  void job_from_cache(int worker, int cell);
   void job_finished(int worker, int cell, double wall_seconds,
                     sim::Time simulated);
 
   std::size_t jobs_submitted() const { return jobs_submitted_; }
   std::size_t jobs_completed() const {
     return completed_.load(std::memory_order_relaxed);
-  }
-  std::size_t jobs_from_cache() const {
-    return from_cache_.load(std::memory_order_relaxed);
   }
 
   // Aggregates. Only valid once the pool has joined (no concurrent writers).
@@ -96,7 +88,6 @@ class Telemetry {
  private:
   struct CellSlot {  // per-worker per-cell accumulators
     std::size_t completed = 0;
-    std::size_t from_cache = 0;
     double busy_seconds = 0;
     double simulated_seconds = 0;
   };
@@ -114,7 +105,6 @@ class Telemetry {
   std::vector<CellPlan> cell_plans_;
   std::vector<WorkerSlot> slots_;
   std::atomic<std::size_t> completed_{0};
-  std::atomic<std::size_t> from_cache_{0};
   std::atomic<int> in_flight_{0};
   std::atomic<int> peak_in_flight_{0};
 };

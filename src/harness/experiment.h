@@ -9,7 +9,6 @@
 #include <functional>
 #include <optional>
 #include <string>
-#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -42,7 +41,7 @@ struct RunOptions {
   std::function<void(const trace::Recorder&)> trace_sink;
   // Invariant checks: when set, every connection of every load records its
   // byte and callback totals here (see net::DeliveryAudit). Serial loads
-  // only; such runs bypass the result cache.
+  // only.
   net::DeliveryAudit* delivery_audit = nullptr;
 };
 
@@ -84,26 +83,6 @@ struct CorpusResult {
   // only, matching `loads`); empty when tracing was disabled.
   std::vector<std::pair<std::string, std::int64_t>> counter_totals() const;
 };
-
-// Stable versioned LE binary (de)serialization of a CorpusResult — the
-// strategy label plus every per-page LoadResult, each through the
-// browser::serialize_load_result wire format (length-prefixed so the
-// framing survives LoadResult format evolution). This is the payload of a
-// shard cell file (DESIGN.md §14): a shard process publishes each owned
-// cell's CorpusResult and fleet::merge_shards reassembles them
-// byte-identically to a single-process run. deserialize_corpus_result
-// returns false (leaving *out unspecified) on truncation, trailing bytes,
-// or any version mismatch.
-std::string serialize_corpus_result(const CorpusResult& r);
-bool deserialize_corpus_result(std::string_view bytes, CorpusResult* out);
-
-// Sweeps the corpus under one strategy. Defined in fleet/fleet.cpp: the
-// sweep runs on the parallel fleet, with worker count taken from VROOM_JOBS
-// (default: hardware concurrency; VROOM_JOBS=1 preserves the serial order).
-// Results are bit-identical regardless of worker count.
-CorpusResult run_corpus(const web::Corpus& corpus,
-                        const baselines::Strategy& strategy,
-                        const RunOptions& options);
 
 // Honors VROOM_BENCH_PAGES (environment) to cap corpus size for quick runs;
 // returns `n` unchanged when unset. Malformed or non-positive values are

@@ -58,6 +58,11 @@ struct NetworkConfig {
   sim::Time radio_promotion = 0;
   sim::Time radio_idle_timeout = sim::seconds(5);
 
+  // Canonical text of every field above, for run identity (trace file
+  // names, alongside baselines::Strategy::fingerprint()). Two configs with
+  // equal fingerprints simulate identically; a new field must join it.
+  std::string fingerprint() const;
+
   static NetworkConfig lte();
   static NetworkConfig lte_loaded();  // congested cell: lower rate, higher RTT
   static NetworkConfig wifi();

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdio>
 #include <numeric>
 #include <stdexcept>
 
@@ -14,6 +15,13 @@ std::uint64_t hash64(std::string_view s) {
     h *= 1099511628211ULL;
   }
   return h;
+}
+
+std::string hex64(std::uint64_t v) {
+  char buf[17];
+  std::snprintf(buf, sizeof buf, "%016llx",
+                static_cast<unsigned long long>(v));
+  return buf;
 }
 
 namespace {

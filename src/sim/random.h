@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <random>
+#include <string>
 #include <string_view>
 #include <vector>
 
@@ -16,6 +17,10 @@ namespace vroom::sim {
 
 // 64-bit FNV-1a; stable across platforms, good enough for seed derivation.
 std::uint64_t hash64(std::string_view s);
+
+// `v` as 16 lowercase, zero-padded hex digits: how hashes and digests appear
+// in file names and manifests.
+std::string hex64(std::uint64_t v);
 
 // Mixes a root seed with a purpose tag into a child seed (splitmix64 finalizer).
 std::uint64_t derive_seed(std::uint64_t root, std::string_view purpose);

@@ -1,3 +1,8 @@
+#include <functional>
+#include <set>
+#include <string>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "baselines/polaris.h"
@@ -35,6 +40,68 @@ TEST(StrategiesTest, MakePolicyMatchesSched) {
   EXPECT_EQ(make_policy(http2_baseline()), nullptr);
   EXPECT_NE(make_policy(vroom()), nullptr);
   EXPECT_NE(make_policy(polaris()), nullptr);
+}
+
+// Run manifests record each cell's fingerprint, so a knob change without a
+// name change must still change it.
+TEST(StrategiesTest, FingerprintCoversProviderKnobs) {
+  std::set<std::string> prints;
+  prints.insert(vroom().fingerprint());
+  prints.insert(http2_baseline().fingerprint());
+  prints.insert(http11().fingerprint());
+  prints.insert(vroom_offline_only().fingerprint());
+  prints.insert(push_all_fetch_asap().fingerprint());
+  prints.insert(lower_bound_network().fingerprint());
+  Strategy tweaked = vroom();
+  tweaked.provider.max_hints = 10;
+  prints.insert(tweaked.fingerprint());
+  Strategy crawl = vroom();
+  crawl.provider.offline.spacing = sim::hours(2);
+  prints.insert(crawl.fingerprint());
+  EXPECT_EQ(prints.size(), 8u);
+  // Stable across calls.
+  EXPECT_EQ(vroom().fingerprint(), vroom().fingerprint());
+}
+
+// Trace file names hash the network fingerprint, so every field of the
+// config must reach it: changing any one changes the fingerprint.
+TEST(NetworkProfiles, FingerprintCoversEveryField) {
+  using Config = net::NetworkConfig;
+  const std::vector<std::function<void(Config&)>> edits = {
+      [](Config& c) { c.downlink_bps += 1; },
+      [](Config& c) { c.uplink_bps += 1; },
+      [](Config& c) { c.cellular_rtt += 1; },
+      [](Config& c) { c.dns_lookup += 1; },
+      [](Config& c) { c.mss_bytes += 1; },
+      [](Config& c) { c.init_cwnd_segments += 1; },
+      [](Config& c) { c.max_cwnd_segments += 1; },
+      [](Config& c) { c.h2_stream_window_bytes += 1; },
+      [](Config& c) { c.tls_handshake_rtts += 1; },
+      [](Config& c) { c.server_think += 1; },
+      [](Config& c) { c.domain_rtt_median += 1; },
+      [](Config& c) { c.domain_rtt_sigma += 1e-9; },
+      [](Config& c) { c.domain_rtt_min += 1; },
+      [](Config& c) { c.domain_rtt_max += 1; },
+      [](Config& c) { c.loss_rate += 1e-9; },
+      [](Config& c) { c.rto_min += 1; },
+      [](Config& c) { c.radio_promotion += 1; },
+      [](Config& c) { c.radio_idle_timeout += 1; },
+  };
+  const std::string base = Config::lte().fingerprint();
+  EXPECT_EQ(base, Config::lte().fingerprint());
+  std::set<std::string> prints{base};
+  for (std::size_t i = 0; i < edits.size(); ++i) {
+    Config c = Config::lte();
+    edits[i](c);
+    EXPECT_NE(c.fingerprint(), base) << "field edit " << i;
+    prints.insert(c.fingerprint());
+  }
+  EXPECT_EQ(prints.size(), edits.size() + 1);
+  // The named profiles are distinct too.
+  for (const Config& c : {Config::lte_loaded(), Config::wifi(),
+                          Config::threeg(), Config::local_usb()}) {
+    EXPECT_TRUE(prints.insert(c.fingerprint()).second);
+  }
 }
 
 class BaselineLoadTest : public ::testing::Test {

@@ -306,23 +306,6 @@ TEST(Scenario, ExportedMetricsByteIdenticalAcrossJobCounts) {
   }
 }
 
-// Sharding splits figure sweeps; inside the deployment scenario it would
-// split only the embedded micro plan while every shard process re-ran the
-// warm column and macro passes whole. The scenario must die loudly instead
-// of producing n slightly-wrong copies.
-TEST(ScenarioDeathTest, RefusesShardEnvironment) {
-  const web::Corpus corpus = web::Corpus::smoke(42, 2);
-  const deploy::ScenarioConfig cfg;
-  {
-    ScopedEnv shard("VROOM_SHARD", "0/2");
-    EXPECT_DEATH((void)deploy::run_deployment(corpus, cfg), "cannot shard");
-  }
-  {
-    ScopedEnv dir("VROOM_SHARD_DIR", testing::TempDir().c_str());
-    EXPECT_DEATH((void)deploy::run_deployment(corpus, cfg), "cannot shard");
-  }
-}
-
 // Contention is simulated, not approximated: pushing offered load far past
 // the origin links' capacity must degrade tail PLT.
 TEST(Scenario, TailPltDegradesAcrossLinkCapacity) {

@@ -4,6 +4,10 @@
 // documented default when unset.
 #include "harness/env.h"
 
+#include <climits>
+#include <cstdint>
+#include <iterator>
+#include <random>
 #include <string>
 
 #include <gtest/gtest.h>
@@ -26,9 +30,10 @@ struct CleanEnv {
   ScopedEnv progress{"VROOM_PROGRESS", nullptr};
   ScopedEnv metrics{"VROOM_METRICS", nullptr};
   ScopedEnv profile{"VROOM_PROFILE", nullptr};
+  ScopedEnv arrivals{"VROOM_DEPLOY_ARRIVALS", nullptr};
+  ScopedEnv window{"VROOM_DEPLOY_WINDOW_HOURS", nullptr};
   ScopedEnv shard{"VROOM_SHARD", nullptr};
   ScopedEnv shard_dir{"VROOM_SHARD_DIR", nullptr};
-  ScopedEnv cache_max{"VROOM_CACHE_MAX_BYTES", nullptr};
 };
 
 TEST(Env, DefaultsWhenUnset) {
@@ -44,66 +49,27 @@ TEST(Env, DefaultsWhenUnset) {
   EXPECT_EQ(env.metrics_dir, "");
   EXPECT_FALSE(env.metrics_enabled());
   EXPECT_FALSE(env.profile);
+  EXPECT_EQ(env.deploy_arrivals, 0);
+  EXPECT_EQ(env.deploy_window_hours, 0);
   EXPECT_FALSE(env.shard.has_value());
   EXPECT_EQ(env.shard_dir, "");
-  EXPECT_EQ(env.cache_max_bytes, 0);
 }
 
-// The typed VROOM_SHARD=i/N accessor: the fleet and scripts/sweep_shards.sh
-// share this one parser, so its rejection rules are load-bearing.
-TEST(Env, ShardSpecParsesValidSpecs) {
+// The retired sweep-acceleration variables are read verbatim (the fleet
+// warns about them; the benchmark program checks they are unset) and are
+// never parsed, so no value of theirs warns here.
+TEST(Env, RetiredVariablesAreReadVerbatim) {
   CleanEnv clean;
-  {
-    ScopedEnv shard("VROOM_SHARD", "0/4");
-    const auto spec = harness::Env::from_environment().shard;
-    ASSERT_TRUE(spec.has_value());
-    EXPECT_EQ(spec->index, 0);
-    EXPECT_EQ(spec->count, 4);
-  }
-  {
-    ScopedEnv shard("VROOM_SHARD", "3/4");
-    const auto spec = harness::Env::from_environment().shard;
-    ASSERT_TRUE(spec.has_value());
-    EXPECT_EQ(*spec, (harness::ShardSpec{3, 4}));
-  }
-  {
-    // The degenerate single-shard sweep is valid: i/1 runs everything.
-    ScopedEnv shard("VROOM_SHARD", "0/1");
-    EXPECT_EQ(harness::Env::from_environment().shard,
-              (harness::ShardSpec{0, 1}));
-  }
-}
-
-TEST(Env, ShardSpecRejectsMalformedSpecs) {
-  CleanEnv clean;
-  // N == 0, i >= N, negatives, partial parses, missing halves — all read
-  // as unset through the unified [env] warning path.
-  for (const char* bad :
-       {"", "4", "4/", "/4", "1/0", "4/4", "5/4", "-1/4", "1/-4", "a/4",
-        "1/b", "1/4x", " 1/4", "1/4 ", "1//4", "0x1/4", "1.0/4"}) {
-    ScopedEnv shard("VROOM_SHARD", bad);
-    EXPECT_FALSE(harness::Env::from_environment().shard.has_value())
-        << "VROOM_SHARD=\"" << bad << '"';
-  }
-}
-
-TEST(Env, ShardDirAndCacheMaxBytes) {
-  CleanEnv clean;
+  ScopedEnv cache("VROOM_RESULT_CACHE", "/tmp/vroom-rc");
+  ScopedEnv shard("VROOM_SHARD", "not-a-spec");
   ScopedEnv dir("VROOM_SHARD_DIR", "/tmp/vroom-shards");
-  // > INT_MAX on purpose: the cap is a 64-bit byte count.
-  ScopedEnv cap("VROOM_CACHE_MAX_BYTES", "5000000000");
+  testing::internal::CaptureStderr();
   const harness::Env env = harness::Env::from_environment();
+  EXPECT_EQ(testing::internal::GetCapturedStderr(), "");
+  EXPECT_EQ(env.result_cache_dir, "/tmp/vroom-rc");
+  ASSERT_TRUE(env.shard.has_value());
+  EXPECT_EQ(*env.shard, "not-a-spec");
   EXPECT_EQ(env.shard_dir, "/tmp/vroom-shards");
-  EXPECT_EQ(env.cache_max_bytes, 5000000000LL);
-}
-
-TEST(Env, CacheMaxBytesRejectsMalformed) {
-  CleanEnv clean;
-  for (const char* bad : {"", "0", "-1", "1g", "1.5", " 1"}) {
-    ScopedEnv cap("VROOM_CACHE_MAX_BYTES", bad);
-    EXPECT_EQ(harness::Env::from_environment().cache_max_bytes, 0)
-        << "VROOM_CACHE_MAX_BYTES=\"" << bad << '"';
-  }
 }
 
 TEST(Env, MetricsAndProfileKnobs) {
@@ -204,6 +170,95 @@ TEST(Env, EffectivePageCount) {
     EXPECT_EQ(env.effective_page_count(100), 8);
     EXPECT_EQ(env.effective_page_count(5), 5);  // cap never raises
   }
+}
+
+// Seeded-mutation robustness for the numeric knobs: a valid value, mutated
+// by random insertions, deletions and replacements drawn from signs,
+// whitespace, letters and overflow-sized digit runs, must either parse to
+// exactly the positive integer its whole string spells, or read as unset
+// with exactly one warning line naming the variable and the value.
+struct NumericKnob {
+  const char* name;
+  int harness::Env::*field;
+};
+
+// The oracle, independent of the parser: every character a digit, the
+// value in [1, INT_MAX]; 0 for anything else.
+int expected_positive(const std::string& value) {
+  if (value.empty()) return 0;
+  std::int64_t v = 0;
+  for (const char c : value) {
+    if (c < '0' || c > '9') return 0;
+    v = v * 10 + (c - '0');
+    if (v > INT_MAX) return 0;
+  }
+  return static_cast<int>(v);
+}
+
+std::string mutate(std::string value, std::mt19937_64& rng) {
+  static const char* const kTokens[] = {
+      "+", "-", " ", "\t", "a", "x", "Z", "e", ".", "0", "7",
+      "99999999999", "2147483648", "18446744073709551616"};
+  const int edits = 1 + static_cast<int>(rng() % 3);
+  for (int e = 0; e < edits; ++e) {
+    const std::string token = kTokens[rng() % std::size(kTokens)];
+    const std::size_t at = value.empty() ? 0 : rng() % (value.size() + 1);
+    switch (rng() % 3) {
+      case 0:  // insert
+        value.insert(at, token);
+        break;
+      case 1:  // delete one character
+        if (!value.empty()) value.erase(at % value.size(), 1);
+        break;
+      default:  // replace one character
+        if (value.empty()) {
+          value = token;
+        } else {
+          value.replace(at % value.size(), 1, token);
+        }
+        break;
+    }
+  }
+  return value;
+}
+
+TEST(Env, MutatedNumericValuesParseExactlyOrWarnOnce) {
+  CleanEnv clean;
+  const NumericKnob knobs[] = {
+      {"VROOM_JOBS", &harness::Env::jobs},
+      {"VROOM_BENCH_PAGES", &harness::Env::bench_pages},
+      {"VROOM_DEPLOY_ARRIVALS", &harness::Env::deploy_arrivals},
+      {"VROOM_DEPLOY_WINDOW_HOURS", &harness::Env::deploy_window_hours},
+  };
+  std::mt19937_64 rng(20171017);
+  int accepted = 0;
+  int rejected = 0;
+  for (const NumericKnob& knob : knobs) {
+    for (int i = 0; i < 200; ++i) {
+      const std::string value = mutate("48", rng);
+      ScopedEnv env(knob.name, value.c_str());
+      testing::internal::CaptureStderr();
+      const harness::Env parsed = harness::Env::from_environment();
+      const std::string err = testing::internal::GetCapturedStderr();
+      const int want = expected_positive(value);
+      SCOPED_TRACE(std::string(knob.name) + "=\"" + value + '"');
+      EXPECT_EQ(parsed.*knob.field, want);
+      if (want > 0) {
+        EXPECT_EQ(err, "");
+        ++accepted;
+      } else {
+        const std::string quoted =
+            std::string(knob.name) + "=\"" + value + '"';
+        EXPECT_EQ(err.rfind("[env] warning: ", 0), 0u) << err;
+        EXPECT_NE(err.find(quoted), std::string::npos) << err;
+        EXPECT_EQ(err.find('\n'), err.size() - 1) << err;
+        ++rejected;
+      }
+    }
+  }
+  // The mutation mix must exercise both outcomes.
+  EXPECT_GT(accepted, 0);
+  EXPECT_GT(rejected, 0);
 }
 
 }  // namespace

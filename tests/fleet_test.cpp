@@ -2,6 +2,7 @@
 // worker-count resolution must be robust, and telemetry must add up.
 #include "fleet/fleet.h"
 
+#include <filesystem>
 #include <string>
 
 #include <gtest/gtest.h>
@@ -26,15 +27,28 @@ void expect_identical(const browser::LoadResult& a,
   EXPECT_EQ(a.ttfb, b.ttfb);
   EXPECT_EQ(a.first_paint, b.first_paint);
   EXPECT_EQ(a.dom_content_loaded, b.dom_content_loaded);
+  EXPECT_EQ(a.all_discovered, b.all_discovered);
+  EXPECT_EQ(a.all_fetched, b.all_fetched);
+  EXPECT_EQ(a.high_prio_discovered, b.high_prio_discovered);
+  EXPECT_EQ(a.high_prio_fetched, b.high_prio_fetched);
   EXPECT_EQ(a.net_wait, b.net_wait);
   EXPECT_EQ(a.cpu_busy, b.cpu_busy);
   EXPECT_EQ(a.bytes_fetched, b.bytes_fetched);
   EXPECT_EQ(a.wasted_bytes, b.wasted_bytes);
   EXPECT_EQ(a.requests, b.requests);
   EXPECT_EQ(a.cache_hits, b.cache_hits);
+  EXPECT_EQ(a.sim_events, b.sim_events);
+  EXPECT_EQ(a.trace_counters, b.trace_counters);
   ASSERT_EQ(a.timings.size(), b.timings.size());
   for (std::size_t i = 0; i < a.timings.size(); ++i) {
     EXPECT_EQ(a.timings[i].url, b.timings[i].url);
+    EXPECT_EQ(a.timings[i].template_id, b.timings[i].template_id);
+    EXPECT_EQ(a.timings[i].referenced, b.timings[i].referenced);
+    EXPECT_EQ(a.timings[i].processable, b.timings[i].processable);
+    EXPECT_EQ(a.timings[i].in_iframe, b.timings[i].in_iframe);
+    EXPECT_EQ(a.timings[i].hinted, b.timings[i].hinted);
+    EXPECT_EQ(a.timings[i].pushed, b.timings[i].pushed);
+    EXPECT_EQ(a.timings[i].from_cache, b.timings[i].from_cache);
     EXPECT_EQ(a.timings[i].bytes, b.timings[i].bytes);
     EXPECT_EQ(a.timings[i].discovered, b.timings[i].discovered);
     EXPECT_EQ(a.timings[i].requested, b.timings[i].requested);
@@ -92,8 +106,9 @@ TEST(Fleet, ParallelBitIdenticalToSerial) {
     serial.workers = 1;
     fleet::FleetOptions parallel;
     parallel.workers = 4;
-    const auto a = fleet::run_corpus(corpus, strategy, opt, serial);
-    const auto b = fleet::run_corpus(corpus, strategy, opt, parallel);
+    const fleet::SweepPlan plan = fleet::SweepPlan().add(corpus, strategy, opt);
+    const auto a = fleet::run_plan(plan, serial).front();
+    const auto b = fleet::run_plan(plan, parallel).front();
     expect_identical(a, b);
   }
 }
@@ -108,13 +123,17 @@ TEST(Fleet, MatrixMatchesPerStrategyRuns) {
 
   fleet::FleetOptions fo;
   fo.workers = 3;
-  const auto matrix = fleet::run_matrix(corpus, strategies, opt, fo);
+  const auto matrix = fleet::run_plan(
+      fleet::SweepPlan().add_matrix(corpus, strategies, opt), fo);
   ASSERT_EQ(matrix.size(), strategies.size());
   for (std::size_t s = 0; s < strategies.size(); ++s) {
     fleet::FleetOptions serial;
     serial.workers = 1;
-    expect_identical(matrix[s],
-                     fleet::run_corpus(corpus, strategies[s], opt, serial));
+    expect_identical(
+        matrix[s],
+        fleet::run_plan(fleet::SweepPlan().add(corpus, strategies[s], opt),
+                        serial)
+            .front());
   }
 }
 
@@ -188,8 +207,10 @@ TEST(Fleet, MoreWorkersThanJobsStillIdentical) {
   oversized.workers = 64;
   fleet::Telemetry telemetry;
   oversized.telemetry = &telemetry;
-  const auto a = fleet::run_corpus(corpus, baselines::vroom(), opt, serial);
-  const auto b = fleet::run_corpus(corpus, baselines::vroom(), opt, oversized);
+  const fleet::SweepPlan plan =
+      fleet::SweepPlan().add(corpus, baselines::vroom(), opt);
+  const auto a = fleet::run_plan(plan, serial).front();
+  const auto b = fleet::run_plan(plan, oversized).front();
   expect_identical(a, b);
   // The pool is clamped to the job count.
   EXPECT_EQ(telemetry.summary().workers, 2);
@@ -207,7 +228,8 @@ TEST(Fleet, TelemetryCountersAddUp) {
   fleet::FleetOptions fo;
   fo.workers = 4;
   fo.telemetry = &telemetry;
-  const auto results = fleet::run_matrix(corpus, strategies, opt, fo);
+  const auto results = fleet::run_plan(
+      fleet::SweepPlan().add_matrix(corpus, strategies, opt), fo);
 
   const std::size_t expected_jobs = strategies.size() * corpus.size() *
                                     static_cast<std::size_t>(opt.loads_per_page);
@@ -231,6 +253,55 @@ TEST(Fleet, TelemetryCountersAddUp) {
   // And the sweep still produced one median load per page per strategy.
   ASSERT_EQ(results.size(), strategies.size());
   for (const auto& r : results) EXPECT_EQ(r.loads.size(), corpus.size());
+}
+
+// Regression: the removed result cache keyed loads by (seed, page id,
+// nonce) but not by corpus, so in a Figure 1-shaped plan (HTTP/1.1 over
+// Top-100 and News+Sports on one seed) pages sharing an id across the two
+// corpora were served each other's results. The variable is now ignored:
+// with it set the plan must match the plan without it, field by field,
+// write nothing to the directory and warn exactly once per plan.
+TEST(Fleet, RetiredCacheVariableChangesNothing) {
+  ScopedEnv jobs_env("VROOM_JOBS", nullptr);
+  ScopedEnv pages_env("VROOM_BENCH_PAGES", nullptr);
+  ScopedEnv cache_env("VROOM_RESULT_CACHE", nullptr);
+  // The pages whose ids both corpora contain: Top-100 ids 0..99 overlap
+  // News+Sports' News half, ids 0..49.
+  web::Corpus top("top100", 42);
+  top.add_pages(web::PageClass::Top100, 50);
+  web::Corpus ns("news+sports", 42);
+  ns.add_pages(web::PageClass::News, 50);
+  for (std::size_t i = 0; i < top.size(); ++i) {
+    ASSERT_EQ(top.page(i).page_id(), ns.page(i).page_id());
+  }
+  const harness::RunOptions opt = small_options();
+  fleet::SweepPlan plan;
+  plan.add(top, baselines::http11(), opt).add(ns, baselines::http11(), opt);
+
+  fleet::FleetOptions serial;
+  serial.workers = 1;
+  const auto expected = fleet::run_plan(plan, serial);
+
+  const std::string dir = testing::TempDir() + "vroom_retired_result_cache";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  ScopedEnv set_cache("VROOM_RESULT_CACHE", dir.c_str());
+  for (const int workers : {1, 4}) {
+    SCOPED_TRACE("workers=" + std::to_string(workers));
+    fleet::FleetOptions fo;
+    fo.workers = workers;
+    testing::internal::CaptureStderr();
+    const auto results = fleet::run_plan(plan, fo);
+    const std::string err = testing::internal::GetCapturedStderr();
+    ASSERT_EQ(results.size(), expected.size());
+    for (std::size_t c = 0; c < results.size(); ++c) {
+      expect_identical(results[c], expected[c]);
+    }
+    EXPECT_EQ(err,
+              "[fleet] warning: VROOM_RESULT_CACHE is no longer supported "
+              "and is ignored\n");
+    EXPECT_TRUE(std::filesystem::is_empty(dir));
+  }
 }
 
 TEST(MedianSelection, TiedPltsResolveToLowerLoadIndex) {

@@ -236,7 +236,7 @@ TEST(FleetMetrics, VirtualExportByteIdenticalAcrossJobCounts) {
     const std::string dir = fresh_dir(std::string("jobs") + jobs);
     ScopedEnv jobs_env("VROOM_JOBS", jobs);
     ScopedEnv metrics_env("VROOM_METRICS", dir.c_str());
-    fleet::run_corpus(corpus, baselines::vroom(), opt);
+    fleet::run_plan(fleet::SweepPlan().add(corpus, baselines::vroom(), opt));
     csvs.push_back(read_file(dir + "/metrics.csv"));
     proms.push_back(read_file(dir + "/metrics.prom"));
     // The wall sidecar must exist but is free to differ.
@@ -277,12 +277,16 @@ TEST(FleetMetrics, DisabledPathLeavesResultsIdentical) {
     const std::string dir = fresh_dir("disabled_path");
     ScopedEnv metrics_env("VROOM_METRICS", dir.c_str());
     ScopedEnv profile_env("VROOM_PROFILE", "1");
-    with_metrics = fleet::run_corpus(corpus, baselines::vroom(), opt);
+    with_metrics =
+        fleet::run_plan(fleet::SweepPlan().add(corpus, baselines::vroom(), opt))
+            .front();
   }
   {
     ScopedEnv metrics_env("VROOM_METRICS", nullptr);
     ScopedEnv profile_env("VROOM_PROFILE", nullptr);
-    without_metrics = fleet::run_corpus(corpus, baselines::vroom(), opt);
+    without_metrics =
+        fleet::run_plan(fleet::SweepPlan().add(corpus, baselines::vroom(), opt))
+            .front();
   }
   ASSERT_EQ(with_metrics.loads.size(), without_metrics.loads.size());
   for (std::size_t i = 0; i < with_metrics.loads.size(); ++i) {

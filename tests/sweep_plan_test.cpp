@@ -1,6 +1,6 @@
 // SweepPlan: a multi-corpus, mixed-options plan executed on one shared pool
 // must return, cell by cell, results bit-identical to standalone serial
-// run_corpus calls — at any worker count. Longest-job-first dispatch must be
+// one-cell plans — at any worker count. Longest-job-first dispatch must be
 // deterministic and must never leak into results; per-cell telemetry must
 // add up; warm-cache cells must degrade the plan to one worker.
 #include "fleet/fleet.h"
@@ -84,13 +84,16 @@ TEST(SweepPlan, MultiCorpusBitIdenticalToStandaloneRuns) {
   const web::Corpus b = web::Corpus::smoke(11, /*count=*/3);
   const fleet::SweepPlan plan = mixed_plan(a, b);
 
-  // Reference: one standalone serial run_corpus per cell.
+  // Reference: one standalone serial one-cell plan per cell.
   std::vector<harness::CorpusResult> expected;
   for (const fleet::SweepCell& cell : plan.cells) {
     fleet::FleetOptions serial;
     serial.workers = 1;
     expected.push_back(
-        fleet::run_corpus(*cell.corpus, cell.strategy, cell.options, serial));
+        fleet::run_plan(fleet::SweepPlan().add(*cell.corpus, cell.strategy,
+                                               cell.options),
+                        serial)
+            .front());
   }
 
   for (int workers : {1, 2, 4}) {
@@ -131,8 +134,11 @@ TEST(SweepPlan, CustomLabelsFlowToResults) {
   // Labels are presentation only: the loads match an unlabeled run exactly.
   fleet::FleetOptions serial;
   serial.workers = 1;
-  expect_identical_loads(results[0],
-                         fleet::run_corpus(a, baselines::http11(), opt, serial));
+  expect_identical_loads(
+      results[0],
+      fleet::run_plan(fleet::SweepPlan().add(a, baselines::http11(), opt),
+                      serial)
+          .front());
 }
 
 TEST(SweepPlan, PerCellTelemetryAddsUp) {
@@ -150,7 +156,7 @@ TEST(SweepPlan, PerCellTelemetryAddsUp) {
 
   const fleet::TelemetrySummary s = telemetry.summary();
   ASSERT_EQ(s.cells.size(), plan.cells.size());
-  std::size_t submitted = 0, completed = 0, from_cache = 0;
+  std::size_t submitted = 0, completed = 0;
   double busy = 0.0, simulated = 0.0;
   for (std::size_t c = 0; c < s.cells.size(); ++c) {
     const fleet::CellTelemetrySummary& cell = s.cells[c];
@@ -164,13 +170,11 @@ TEST(SweepPlan, PerCellTelemetryAddsUp) {
     EXPECT_GT(cell.simulated_seconds, 0.0);
     submitted += cell.jobs_submitted;
     completed += cell.jobs_completed;
-    from_cache += cell.jobs_from_cache;
     busy += cell.busy_seconds;
     simulated += cell.simulated_seconds;
   }
   EXPECT_EQ(submitted, s.jobs_submitted);
   EXPECT_EQ(completed, s.jobs_completed);
-  EXPECT_EQ(from_cache, s.jobs_from_cache);
   EXPECT_DOUBLE_EQ(busy, s.busy_seconds_total);
   EXPECT_NEAR(simulated, s.simulated_seconds, 1e-9);
 }

@@ -333,17 +333,23 @@ TEST(Trace, IdenticalSeedsGiveByteIdenticalTracesAtAnyJobCount) {
   parallel.workers = 4;
   {
     ScopedEnv trace_env("VROOM_TRACE", dir1.c_str());
-    fleet::run_corpus(corpus, baselines::vroom(), opt, serial);
+    fleet::run_plan(fleet::SweepPlan().add(corpus, baselines::vroom(), opt),
+                    serial);
   }
   {
     ScopedEnv trace_env("VROOM_TRACE", dir4.c_str());
-    fleet::run_corpus(corpus, baselines::vroom(), opt, parallel);
+    fleet::run_plan(fleet::SweepPlan().add(corpus, baselines::vroom(), opt),
+                    parallel);
   }
 
-  // Filenames derive from job identity (strategy, device, page, nonce), so
-  // the two sweeps must produce the same set of files with the same bytes.
+  // Filenames derive from job identity (strategy, device, page, nonce,
+  // network and wall time), so the two sweeps must produce the same set of
+  // files with the same bytes.
   const std::string slug = harness::slugify(baselines::vroom().name) + "_" +
                            harness::slugify(opt.device.name);
+  const std::string run_hash = sim::hex64(
+      sim::hash64(net::NetworkConfig::lte().fingerprint() + "|when=" +
+                  std::to_string(opt.when)));
   int compared = 0;
   for (const auto& page : corpus.pages()) {
     for (int load = 0; load < opt.loads_per_page; ++load) {
@@ -351,7 +357,7 @@ TEST(Trace, IdenticalSeedsGiveByteIdenticalTracesAtAnyJobCount) {
           harness::derive_load_nonce(opt.seed, page.page_id(), load);
       const std::string name = "/trace_" + slug + "_p" +
           std::to_string(page.page_id()) + "_n" + std::to_string(nonce) +
-          ".json";
+          "_" + run_hash + ".json";
       const std::string a = read_file(dir1 + name);
       const std::string b = read_file(dir4 + name);
       ASSERT_FALSE(a.empty()) << "missing trace: " << dir1 + name;
@@ -402,6 +408,39 @@ TEST(Trace, DeviceMicroPlanWritesOneFilePerLoadAtAnyJobCount) {
   for (const auto& [name, body] : by_jobs["1"]) {
     EXPECT_TRUE(body == by_jobs["4"][name]) << "trace diverged: " << name;
   }
+}
+
+TEST(Trace, NetworkSweepWritesOneFilePerLoadAtAnyJobCount) {
+  // A network sweep repeats strategy, device, page and nonce under every
+  // profile (ablation_network_conditions does exactly this); the network
+  // must be part of the trace file name or the profiles overwrite each
+  // other.
+  ScopedEnv pages_env("VROOM_BENCH_PAGES", nullptr);
+  const web::Corpus corpus = web::Corpus::smoke(7, /*count=*/2);
+  fleet::SweepPlan plan;
+  for (const net::NetworkConfig& network :
+       {net::NetworkConfig::lte(), net::NetworkConfig::threeg()}) {
+    harness::RunOptions opt;
+    opt.seed = 42;
+    opt.network = network;
+    opt.loads_per_page = 2;
+    plan.add(corpus, baselines::vroom(), opt);
+  }
+
+  const std::string base = testing::TempDir() + "vroom_trace_networks";
+  std::filesystem::remove_all(base);
+  std::map<std::string, std::set<std::string>> names;
+  for (const char* jobs : {"1", "4"}) {
+    const std::string dir = base + "/jobs" + jobs;
+    ScopedEnv jobs_env("VROOM_JOBS", jobs);
+    ScopedEnv trace_env("VROOM_TRACE", dir.c_str());
+    fleet::run_plan(plan);
+    for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+      names[jobs].insert(entry.path().filename().string());
+    }
+  }
+  EXPECT_EQ(names["1"].size(), plan.cells.size() * corpus.size() * 2);
+  EXPECT_EQ(names["1"], names["4"]);
 }
 
 TEST(Trace, WriteJsonCreatesDirectoriesAndReportsFailure) {
