@@ -1,7 +1,6 @@
 #include "core/offline_resolver.h"
 
 #include <algorithm>
-#include <set>
 #include <utility>
 
 #include "sim/random.h"
@@ -27,25 +26,49 @@ std::string OfflineResolver::cookie_view_sig(const std::string& serving_domain,
   return serving_domain;
 }
 
+std::vector<std::uint32_t> OfflineResolver::crawl_users(
+    const std::string& serving_domain, std::uint32_t user) const {
+  std::vector<std::uint32_t> users(model_->size(), 0);
+  if (user == 0) return users;
+  for (const web::Resource& r : model_->resources()) {
+    // The crawler carries the client's cookie only for domains the serving
+    // organization controls; everything else loads as a generic user.
+    if (org_knows_user(*model_, serving_domain, r.domain)) users[r.id] = user;
+  }
+  return users;
+}
+
+std::vector<web::RealizedKey> OfflineResolver::crawl_keys(
+    sim::Time when, const web::DeviceProfile& device,
+    const std::vector<std::uint32_t>& users, std::uint64_t nonce) const {
+  web::LoadIdentity id;
+  id.wall_time = when;
+  id.device = device;
+  id.nonce = nonce;
+  const web::KeyRealizer realize(id);
+  std::vector<web::RealizedKey> keys;
+  keys.reserve(model_->size());
+  for (const web::Resource& r : model_->resources()) {
+    keys.push_back(realize(r, users[r.id]));
+  }
+  return keys;
+}
+
 std::map<std::uint32_t, std::string> OfflineResolver::single_load_urls(
     sim::Time when, const web::DeviceProfile& device,
     const std::string& serving_domain, std::uint32_t user,
     std::uint64_t nonce) const {
+  const std::vector<web::RealizedKey> keys =
+      crawl_keys(when, device, crawl_users(serving_domain, user), nonce);
   std::map<std::uint32_t, std::string> out;
   for (const web::Resource& r : model_->resources()) {
-    web::LoadIdentity id;
-    id.wall_time = when;
-    id.device = device;
-    id.nonce = nonce;
-    // The crawler carries the client's cookie only for domains the serving
-    // organization controls; everything else loads as a generic user.
-    id.user = org_knows_user(*model_, serving_domain, r.domain) ? user : 0;
-    out.emplace(r.id, web::realize_url(*model_, r, id));
+    out.emplace_hint(out.end(), r.id,
+                     web::format_url(*model_, r, keys[r.id]));
   }
   return out;
 }
 
-const std::map<std::uint32_t, std::string>& OfflineResolver::crawl_intersection(
+OfflineResolver::KeyedStable& OfflineResolver::crawl_intersection(
     sim::Time now, const web::DeviceProfile& crawl_dev,
     const std::string& serving_domain, std::uint32_t user) const {
   const IntersectKey key{now, dev_key(crawl_dev),
@@ -53,26 +76,29 @@ const std::map<std::uint32_t, std::string>& OfflineResolver::crawl_intersection(
   auto cached = intersect_cache_.find(key);
   if (cached != intersect_cache_.end()) return cached->second;
 
-  std::map<std::uint32_t, std::string> stable;
+  const std::vector<std::uint32_t> users = crawl_users(serving_domain, user);
+  KeyedStable stable;
+  stable.keys.resize(model_->size());
   for (int i = 1; i <= config_.loads; ++i) {
     const sim::Time when = now - static_cast<sim::Time>(i) * config_.spacing;
     const std::uint64_t nonce =
         sim::derive_seed(static_cast<std::uint64_t>(when) ^ model_->page_id(),
                          "offline-crawl");
-    auto load = single_load_urls(when, crawl_dev, serving_domain, user, nonce);
+    const auto load = crawl_keys(when, crawl_dev, users, nonce);
     if (i == 1) {
-      stable = std::move(load);
+      stable.keys.assign(load.begin(), load.end());
       continue;
     }
-    for (auto it = stable.begin(); it != stable.end();) {
-      auto found = load.find(it->first);
-      if (found == load.end() || found->second != it->second) {
-        it = stable.erase(it);
-      } else {
-        ++it;
+    // A slot survives only while every crawl realized the same key.
+    for (std::size_t id = 0; id < load.size(); ++id) {
+      if (stable.keys[id] && *stable.keys[id] != load[id]) {
+        stable.keys[id].reset();
       }
     }
   }
+  stable.present = static_cast<std::size_t>(
+      std::count_if(stable.keys.begin(), stable.keys.end(),
+                    [](const auto& k) { return k.has_value(); }));
   return intersect_cache_.emplace(key, std::move(stable)).first->second;
 }
 
@@ -82,14 +108,15 @@ double OfflineResolver::device_iou(sim::Time now, const web::DeviceProfile& a,
   auto cached = iou_cache_.find(key);
   if (cached != iou_cache_.end()) return cached->second;
 
-  const auto& sa = crawl_intersection(now, a, model_->first_party(), 0);
-  const auto& sb = crawl_intersection(now, b, model_->first_party(), 0);
-  std::set<std::string> ua, ub;
-  for (const auto& [id, url] : sa) ua.insert(url);
-  for (const auto& [id, url] : sb) ub.insert(url);
+  // Realized URLs embed the slot id, so two stable sets share a URL only
+  // where they keep the same slot at the same key.
+  const KeyedStable& sa = crawl_intersection(now, a, model_->first_party(), 0);
+  const KeyedStable& sb = crawl_intersection(now, b, model_->first_party(), 0);
   std::size_t inter = 0;
-  for (const auto& u : ua) inter += ub.count(u);
-  const std::size_t uni = ua.size() + ub.size() - inter;
+  for (std::size_t id = 0; id < sa.keys.size(); ++id) {
+    if (sa.keys[id] && sa.keys[id] == sb.keys[id]) ++inter;
+  }
+  const std::size_t uni = sa.present + sb.present - inter;
   const double iou =
       uni == 0 ? 1.0 : static_cast<double>(inter) / static_cast<double>(uni);
   iou_cache_.emplace(key, iou);
@@ -146,7 +173,17 @@ const std::map<std::uint32_t, std::string>& OfflineResolver::stable_set(
     sim::Time now, const web::DeviceProfile& client_device,
     const std::string& serving_domain, std::uint32_t user) const {
   const web::DeviceProfile& dev = crawl_device(now, client_device);
-  return crawl_intersection(now, dev, serving_domain, user);
+  KeyedStable& stable = crawl_intersection(now, dev, serving_domain, user);
+  if (!stable.urls) {
+    std::map<std::uint32_t, std::string> urls;
+    for (const web::Resource& r : model_->resources()) {
+      if (const auto& k = stable.keys[r.id]) {
+        urls.emplace_hint(urls.end(), r.id, web::format_url(*model_, r, *k));
+      }
+    }
+    stable.urls = std::move(urls);
+  }
+  return *stable.urls;
 }
 
 }  // namespace vroom::core

@@ -11,12 +11,17 @@
 // device, the serving organization's cookie view, user). A resolver
 // memoizes each distinct combination, so the many advise() calls of one
 // page load — per HTML document, per serving domain — recompute nothing.
+// Crawls are compared on realized keys (web::RealizedKey), never on URL
+// strings: for one slot a URL is a function of its key and nothing else
+// varies, so equal keys mean equal URLs and vice versa. Strings are made
+// only for the stable sets and single loads callers ask for.
 // Mutable caches are safe because a resolver lives inside one page world,
 // which is single-threaded (each fleet worker builds a private world).
 #pragma once
 
 #include <cstdint>
 #include <map>
+#include <optional>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -79,9 +84,30 @@ class OfflineResolver {
   const OfflineConfig& config() const { return config_; }
 
  private:
-  const std::map<std::uint32_t, std::string>& crawl_intersection(
-      sim::Time now, const web::DeviceProfile& crawl_dev,
-      const std::string& serving_domain, std::uint32_t user) const;
+  // A keyed stable set: slot i's realized key where every recent crawl
+  // agreed on it, nullopt where the crawls disagreed. Indexed by template
+  // id. The URL map is formatted from the surviving slots on the first
+  // stable_set() call for this memo key; device_iou never builds it.
+  struct KeyedStable {
+    std::vector<std::optional<web::RealizedKey>> keys;
+    std::size_t present = 0;
+    std::optional<std::map<std::uint32_t, std::string>> urls;
+  };
+
+  KeyedStable& crawl_intersection(sim::Time now,
+                                  const web::DeviceProfile& crawl_dev,
+                                  const std::string& serving_domain,
+                                  std::uint32_t user) const;
+
+  // The user each slot's crawl presents, indexed by template id: `user`
+  // for domains the serving organization controls, 0 (generic) elsewhere.
+  std::vector<std::uint32_t> crawl_users(const std::string& serving_domain,
+                                         std::uint32_t user) const;
+
+  // Realized keys of one crawl at `when`, indexed by template id.
+  std::vector<web::RealizedKey> crawl_keys(
+      sim::Time when, const web::DeviceProfile& device,
+      const std::vector<std::uint32_t>& users, std::uint64_t nonce) const;
 
   // Collapses serving_domain to what the crawl outcome actually depends on:
   // with no user cookie the domain is irrelevant; every first-party-org
@@ -99,8 +125,7 @@ class OfflineResolver {
     return {d.name, d.screen, d.dpi, d.width};
   }
   using IntersectKey = std::tuple<sim::Time, DevKey, std::string, std::uint32_t>;
-  mutable std::map<IntersectKey, std::map<std::uint32_t, std::string>>
-      intersect_cache_;
+  mutable std::map<IntersectKey, KeyedStable> intersect_cache_;
   mutable std::map<std::tuple<sim::Time, DevKey, DevKey>, double> iou_cache_;
   // Greedy clustering outcome per crawl time: index of each known device's
   // class representative.

@@ -1,7 +1,5 @@
 #include "core/vroom_provider.h"
 
-#include <map>
-
 #include "sim/random.h"
 #include "web/url.h"
 
@@ -33,7 +31,9 @@ std::vector<std::pair<std::uint32_t, std::string>> resolve_candidates(
   // embedded HTML documents (§4.2).
   const std::vector<std::uint32_t> scope = model.hintable_descendants(doc_id);
 
-  std::map<std::uint32_t, std::string> by_id;
+  // Candidate URL per template id; empty = not advised (realized URLs are
+  // never empty).
+  std::vector<std::string> by_id(model.size());
   switch (mode) {
     case ResolutionMode::OfflinePlusOnline:
     case ResolutionMode::OfflineOnly: {
@@ -41,13 +41,13 @@ std::vector<std::pair<std::uint32_t, std::string>> resolve_candidates(
           offline.stable_set(crawl_now, device, serving_domain, user);
       for (std::uint32_t id : scope) {
         auto it = stable.find(id);
-        if (it != stable.end()) by_id.emplace(id, it->second);
+        if (it != stable.end()) by_id[id] = it->second;
       }
       if (mode == ResolutionMode::OfflinePlusOnline) {
         // Exact URLs from the served markup win over (possibly stale)
         // crawl-derived URLs for the same slot.
         OnlineScan scan = analyze_served_html(served, doc_id);
-        for (auto& [id, url] : scan.links) by_id[id] = url;
+        for (auto& [id, url] : scan.links) by_id[id] = std::move(url);
       }
       break;
     }
@@ -60,10 +60,11 @@ std::vector<std::pair<std::uint32_t, std::string>> resolve_candidates(
       id.wall_time = now;
       id.device = device;
       id.nonce = server_nonce;
+      const web::KeyRealizer realize(id);
       for (std::uint32_t rid : scope) {
         const web::Resource& r = model.resource(rid);
-        id.user = org_knows_user(model, serving_domain, r.domain) ? user : 0;
-        by_id.emplace(rid, web::realize_url(model, r, id));
+        const bool knows = org_knows_user(model, serving_domain, r.domain);
+        by_id[rid] = web::format_url(model, r, realize(r, knows ? user : 0));
       }
       break;
     }
@@ -77,17 +78,15 @@ std::vector<std::pair<std::uint32_t, std::string>> resolve_candidates(
                                            nonce);
       for (std::uint32_t id : scope) {
         auto it = prev.find(id);
-        if (it != prev.end()) by_id.emplace(id, it->second);
+        if (it != prev.end()) by_id[id] = std::move(it->second);
       }
       break;
     }
   }
 
   std::vector<std::pair<std::uint32_t, std::string>> ordered;
-  ordered.reserve(by_id.size());
   for (std::uint32_t id : scope) {  // scope is already in processing order
-    auto it = by_id.find(id);
-    if (it != by_id.end()) ordered.emplace_back(id, it->second);
+    if (!by_id[id].empty()) ordered.emplace_back(id, std::move(by_id[id]));
   }
   return ordered;
 }

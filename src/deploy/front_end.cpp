@@ -147,7 +147,9 @@ ServeDecision FrontEnd::serve(sim::Time now, int page_index,
       static_cast<std::uint64_t>(page_index),
       static_cast<std::uint64_t>(device.screen * 9 + device.dpi * 3 +
                                  device.width));
-  const std::string page_label =
+  // A reference into the corpus: only the trace calls copy it, so an
+  // untraced serve makes no per-view string.
+  const std::string& page_label =
       corpus_.page(static_cast<std::size_t>(page_index)).first_party();
   const auto trace_serve = [&](const char* name, const ServeDecision& d) {
     if (recorder == nullptr) return;

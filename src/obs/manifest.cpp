@@ -53,6 +53,12 @@ struct Parser {
     return true;
   }
 
+  // True when only whitespace remains.
+  bool at_end() {
+    skip_ws();
+    return pos == text.size();
+  }
+
   bool peek(char c) {
     skip_ws();
     return pos < text.size() && text[pos] == c;
@@ -151,13 +157,16 @@ std::optional<Manifest> Manifest::from_json(const std::string& json) {
   Manifest m;
   if (p.peek('}')) {
     p.expect('}');
-    return m;
+    return p.at_end() ? std::optional<Manifest>(m) : std::nullopt;
   }
   while (true) {
     std::string key, value;
     if (!p.string(&key)) return std::nullopt;
     if (!p.expect(':')) return std::nullopt;
     if (!p.string(&value)) return std::nullopt;
+    // set() never stores a key twice, so a repeated key is not a manifest
+    // (find() would silently return the first value).
+    if (m.find(key) != nullptr) return std::nullopt;
     m.entries_.emplace_back(std::move(key), std::move(value));
     if (p.peek(',')) {
       p.expect(',');
@@ -166,6 +175,7 @@ std::optional<Manifest> Manifest::from_json(const std::string& json) {
     break;
   }
   if (!p.expect('}')) return std::nullopt;
+  if (!p.at_end()) return std::nullopt;
   return m;
 }
 

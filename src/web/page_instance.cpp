@@ -11,6 +11,9 @@ namespace {
 // same slot yields distinct URLs per device bucket.
 constexpr std::uint64_t kDeviceVariantSpace = 8;
 
+// PerLoad versions are folded below this prime.
+constexpr std::uint64_t kVersionModulus = 1000000007ULL;
+
 std::uint64_t mix(std::uint64_t a, std::uint64_t b) {
   return sim::derive_seed(a, "mix") ^ sim::derive_seed(b, "mix2");
 }
@@ -42,36 +45,47 @@ std::int64_t realized_size(const Resource& r, std::uint64_t version) {
   return s < 64 ? 64 : s;
 }
 
-namespace {
+KeyRealizer::KeyRealizer(const LoadIdentity& id)
+    : wall_time_(id.wall_time),
+      // Unpredictable across back-to-back loads: PerLoad versions derive
+      // from the load nonce, so equal nonces (the same load) agree and
+      // different nonces differ.
+      perload_seed_(sim::derive_seed(id.nonce, "perload") % kVersionModulus),
+      device_(id.device),
+      user_(id.user) {}
 
-std::uint64_t full_version_of(const Resource& r, const LoadIdentity& id) {
+RealizedKey KeyRealizer::operator()(const Resource& r,
+                                    std::uint32_t user) const {
   std::uint64_t version;
   if (r.volatility == Volatility::PerLoad) {
-    // Unpredictable across back-to-back loads: version derives from the
-    // load nonce, so equal nonces (the same load) agree and different
-    // nonces differ.
-    version = sim::derive_seed(id.nonce, "perload") % 1000000007ULL;
-    version = mix(version, r.id) % 1000000007ULL;
+    version = mix(perload_seed_, r.id) % kVersionModulus;
   } else {
-    version = rotation_version(r, id.wall_time);
+    version = rotation_version(r, wall_time_);
   }
   std::uint64_t variant = 0;
   if (r.device_axis >= 0) {
-    variant = static_cast<std::uint64_t>(id.device.axis_value(
+    variant = static_cast<std::uint64_t>(device_.axis_value(
                   static_cast<DeviceAxis>(r.device_axis))) + 1;
   }
-  return version * kDeviceVariantSpace + variant;
+  RealizedKey key;
+  key.full_version = version * kDeviceVariantSpace + variant;
+  key.user_part = r.volatility == Volatility::Personalized ? user : 0;
+  return key;
 }
 
-}  // namespace
+RealizedKey realize_key(const Resource& r, const LoadIdentity& id) {
+  return KeyRealizer(id)(r);
+}
+
+std::string format_url(const PageModel& model, const Resource& r,
+                       const RealizedKey& key) {
+  return make_url(r.domain, r.effective_page_id(model.page_id()), r.id,
+                  key.full_version, key.user_part, type_ext(r.type));
+}
 
 std::string realize_url(const PageModel& model, const Resource& r,
                         const LoadIdentity& id) {
-  const std::uint64_t full_version = full_version_of(r, id);
-  const std::uint32_t user_part =
-      r.volatility == Volatility::Personalized ? id.user : 0;
-  return make_url(r.domain, r.effective_page_id(model.page_id()), r.id,
-                  full_version, user_part, type_ext(r.type));
+  return format_url(model, r, realize_key(r, id));
 }
 
 PageInstance::PageInstance(const PageModel& model, const LoadIdentity& id,
@@ -83,15 +97,16 @@ PageInstance::PageInstance(const PageModel& model, const LoadIdentity& id,
       template_by_url_(interner_.memory()) {
   resources_.reserve(model.size());
   template_by_url_.reserve(model.size());
+  const KeyRealizer realize(id);
   for (const Resource& r : model.resources()) {
-    const std::uint64_t full_version = full_version_of(r, id);
+    const RealizedKey key = realize(r);
     InstanceResource ir;
     ir.template_id = r.id;
-    ir.url_id = interner_.url_id(realize_url(model, r, id));
+    ir.url_id = interner_.url_id(format_url(model, r, key));
     // The interner's arena copy is the one stored string per URL; the
     // instance keeps a view of it.
     ir.url = interner_.url(ir.url_id);
-    ir.size = realized_size(r, full_version);
+    ir.size = realized_size(r, key.full_version);
     // Realized URLs are distinct per slot, so pre-interning in build order
     // assigns resource i the UrlId i.
     assert(ir.url_id == template_by_url_.size());

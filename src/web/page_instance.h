@@ -50,9 +50,49 @@ std::uint64_t rotation_version(const Resource& r, sim::Time wall_time);
 // Realized size: base size with deterministic per-version jitter.
 std::int64_t realized_size(const Resource& r, std::uint64_t version);
 
-// Realizes one slot's URL under an identity. Exposed so server-side offline
-// resolution can realize with the knowledge a *server* has (its own domain's
-// cookie, an emulated device, its own load nonce).
+// What varies per slot between realizations. Everything else in a realized
+// URL (domain, page id, resource id, extension) is fixed by the template, so
+// for one slot make_url is injective in the key: two realizations of a slot
+// share a URL iff their keys are equal. Offline resolution intersects crawls
+// on keys and formats strings only for the sets callers ask for.
+struct RealizedKey {
+  std::uint64_t full_version = 0;  // rotation/nonce version + device variant
+  std::uint32_t user_part = 0;     // non-zero only for Personalized slots
+
+  bool operator==(const RealizedKey&) const = default;
+};
+
+// Realizes slot keys under one identity. The identity's per-load constant
+// (the PerLoad nonce seed) is computed once at construction, so realizing
+// every slot of a page hashes the nonce once, not once per slot.
+class KeyRealizer {
+ public:
+  explicit KeyRealizer(const LoadIdentity& id);
+
+  RealizedKey operator()(const Resource& r) const { return (*this)(r, user_); }
+  // Realizes as if the load carried `user`'s cookie instead of the
+  // identity's: an offline crawler presents the client's cookie only to
+  // domains the serving organization controls.
+  RealizedKey operator()(const Resource& r, std::uint32_t user) const;
+
+ private:
+  sim::Time wall_time_;
+  std::uint64_t perload_seed_;
+  DeviceProfile device_;
+  std::uint32_t user_;
+};
+
+// One slot's key under an identity.
+RealizedKey realize_key(const Resource& r, const LoadIdentity& id);
+
+// The canonical URL of slot `r` of `model` realized at `key`.
+std::string format_url(const PageModel& model, const Resource& r,
+                       const RealizedKey& key);
+
+// Realizes one slot's URL under an identity: format_url(realize_key(...)).
+// Exposed so server-side resolution can realize with the knowledge a
+// *server* has (its own domain's cookie, an emulated device, its own load
+// nonce).
 std::string realize_url(const PageModel& model, const Resource& r,
                         const LoadIdentity& id);
 

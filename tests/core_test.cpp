@@ -1,6 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <map>
 #include <set>
+#include <string>
+#include <tuple>
+#include <vector>
 
 #include "core/accuracy.h"
 #include "core/client_scheduler.h"
@@ -10,7 +15,10 @@
 #include "core/vroom_provider.h"
 #include "harness/experiment.h"
 #include "harness/stats.h"
+#include "sim/random.h"
+#include "web/corpus.h"
 #include "web/page_generator.h"
+#include "web/url.h"
 
 namespace vroom::core {
 namespace {
@@ -317,6 +325,219 @@ TEST_F(CoreTest, VroomHintsAndPushesObservedClientSide) {
   }
   EXPECT_GT(hinted, 10);
   EXPECT_GT(pushed, 0);
+}
+
+// --- Keyed resolution vs the string algorithm ------------------------------
+
+// The string-based offline resolution this library used before crawls were
+// keyed, kept as an oracle: every crawl formats every slot's URL (with its
+// own copy of the version/variant/user rules), crawls intersect on URL
+// strings, and device IoU compares sets of URL strings. It memoizes by the
+// actual serving domain, so it also checks the resolver's cookie-view
+// collapse.
+class StringOracle {
+ public:
+  StringOracle(const web::PageModel& model, OfflineConfig config)
+      : model_(model), config_(std::move(config)) {}
+
+  static std::string realize_url(const web::PageModel& model,
+                                 const web::Resource& r,
+                                 const web::LoadIdentity& id) {
+    const auto mix = [](std::uint64_t a, std::uint64_t b) {
+      return sim::derive_seed(a, "mix") ^ sim::derive_seed(b, "mix2");
+    };
+    std::uint64_t version;
+    if (r.volatility == web::Volatility::PerLoad) {
+      version = sim::derive_seed(id.nonce, "perload") % 1000000007ULL;
+      version = mix(version, r.id) % 1000000007ULL;
+    } else {
+      version = web::rotation_version(r, id.wall_time);
+    }
+    std::uint64_t variant = 0;
+    if (r.device_axis >= 0) {
+      variant = static_cast<std::uint64_t>(id.device.axis_value(
+                    static_cast<web::DeviceAxis>(r.device_axis))) + 1;
+    }
+    const std::uint32_t user =
+        r.volatility == web::Volatility::Personalized ? id.user : 0;
+    return web::make_url(r.domain, r.effective_page_id(model.page_id()), r.id,
+                         version * 8 + variant, user, web::type_ext(r.type));
+  }
+
+  std::map<std::uint32_t, std::string> single_load_urls(
+      sim::Time when, const web::DeviceProfile& device,
+      const std::string& serving_domain, std::uint32_t user,
+      std::uint64_t nonce) const {
+    std::map<std::uint32_t, std::string> out;
+    for (const web::Resource& r : model_.resources()) {
+      web::LoadIdentity id;
+      id.wall_time = when;
+      id.device = device;
+      id.nonce = nonce;
+      id.user = org_knows_user(model_, serving_domain, r.domain) ? user : 0;
+      out.emplace(r.id, realize_url(model_, r, id));
+    }
+    return out;
+  }
+
+  const std::map<std::uint32_t, std::string>& crawl_intersection(
+      sim::Time now, const web::DeviceProfile& dev,
+      const std::string& serving_domain, std::uint32_t user) const {
+    const auto key = std::make_tuple(now, dev.name, serving_domain, user);
+    if (auto it = memo_.find(key); it != memo_.end()) return it->second;
+    std::map<std::uint32_t, std::string> stable;
+    for (int i = 1; i <= config_.loads; ++i) {
+      const sim::Time when = now - static_cast<sim::Time>(i) * config_.spacing;
+      const std::uint64_t nonce = sim::derive_seed(
+          static_cast<std::uint64_t>(when) ^ model_.page_id(), "offline-crawl");
+      auto load = single_load_urls(when, dev, serving_domain, user, nonce);
+      if (i == 1) {
+        stable = std::move(load);
+        continue;
+      }
+      for (auto it = stable.begin(); it != stable.end();) {
+        auto found = load.find(it->first);
+        if (found == load.end() || found->second != it->second) {
+          it = stable.erase(it);
+        } else {
+          ++it;
+        }
+      }
+    }
+    return memo_.emplace(key, std::move(stable)).first->second;
+  }
+
+  double device_iou(sim::Time now, const web::DeviceProfile& a,
+                    const web::DeviceProfile& b) const {
+    const auto& sa = crawl_intersection(now, a, model_.first_party(), 0);
+    const auto& sb = crawl_intersection(now, b, model_.first_party(), 0);
+    std::set<std::string> ua, ub;
+    for (const auto& [id, url] : sa) ua.insert(url);
+    for (const auto& [id, url] : sb) ub.insert(url);
+    std::size_t inter = 0;
+    for (const auto& u : ua) inter += ub.count(u);
+    const std::size_t uni = ua.size() + ub.size() - inter;
+    return uni == 0 ? 1.0
+                    : static_cast<double>(inter) / static_cast<double>(uni);
+  }
+
+  const web::DeviceProfile& crawl_device(
+      sim::Time now, const web::DeviceProfile& client) const {
+    switch (config_.device_handling) {
+      case DeviceHandling::Exact: return client;
+      case DeviceHandling::SingleClass: return config_.known_devices.front();
+      case DeviceHandling::EquivalenceClasses: break;
+    }
+    const auto& known = config_.known_devices;
+    std::vector<std::size_t> rep_of(known.size()), reps;
+    for (std::size_t i = 0; i < known.size(); ++i) {
+      rep_of[i] = i;
+      for (std::size_t rep : reps) {
+        if (device_iou(now, known[i], known[rep]) >= config_.iou_threshold) {
+          rep_of[i] = rep;
+          break;
+        }
+      }
+      if (rep_of[i] == i) reps.push_back(i);
+    }
+    for (std::size_t i = 0; i < known.size(); ++i) {
+      if (known[i].name == client.name || known[i].same_rendering(client)) {
+        return known[rep_of[i]];
+      }
+    }
+    return known.front();
+  }
+
+  const std::map<std::uint32_t, std::string>& stable_set(
+      sim::Time now, const web::DeviceProfile& client,
+      const std::string& serving_domain, std::uint32_t user) const {
+    return crawl_intersection(now, crawl_device(now, client), serving_domain,
+                              user);
+  }
+
+ private:
+  const web::PageModel& model_;
+  OfflineConfig config_;
+  mutable std::map<
+      std::tuple<sim::Time, std::string, std::string, std::uint32_t>,
+      std::map<std::uint32_t, std::string>>
+      memo_;
+};
+
+bool same_bits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof a) == 0;
+}
+
+// Compares the keyed resolver with the string oracle on one page under one
+// configuration: stable sets, crawl devices and single-load URL maps for
+// every device x user x serving domain x crawl time, and every device
+// pair's IoU bit for bit.
+void expect_resolvers_agree(const web::PageModel& page,
+                            const OfflineConfig& config) {
+  const OfflineResolver keyed(page, config);
+  const StringOracle oracle(page, config);
+  std::string third_party = "thirdparty.example";
+  for (const web::Resource& r : page.resources()) {
+    if (!page.is_first_party_org(r.domain)) {
+      third_party = r.domain;
+      break;
+    }
+  }
+  const std::vector<web::DeviceProfile> devices = web::all_devices();
+  for (const sim::Time now :
+       {sim::days(45), sim::days(45) + sim::minutes(37),
+        sim::days(45) - sim::hours(6)}) {
+    for (const web::DeviceProfile& a : devices) {
+      for (const web::DeviceProfile& b : devices) {
+        const double got = keyed.device_iou(now, a, b);
+        const double want = oracle.device_iou(now, a, b);
+        EXPECT_TRUE(same_bits(got, want))
+            << "page " << page.page_id() << " " << a.name << "/" << b.name
+            << ": " << got << " vs " << want;
+      }
+      const web::DeviceProfile& dev_got = keyed.crawl_device(now, a);
+      const web::DeviceProfile& dev_want = oracle.crawl_device(now, a);
+      EXPECT_EQ(dev_got.name, dev_want.name) << "page " << page.page_id();
+      EXPECT_TRUE(dev_got.same_rendering(dev_want));
+      for (const std::uint32_t user : {0u, 7u}) {
+        for (const std::string& domain : {page.first_party(), third_party}) {
+          EXPECT_EQ(keyed.stable_set(now, a, domain, user),
+                    oracle.stable_set(now, a, domain, user))
+              << "page " << page.page_id() << " " << a.name << " " << domain
+              << " user " << user;
+          const sim::Time when = now - sim::minutes(55);
+          const std::uint64_t nonce = sim::derive_seed(
+              static_cast<std::uint64_t>(when) ^ page.page_id(), "prev-load");
+          EXPECT_EQ(keyed.single_load_urls(when, a, domain, user, nonce),
+                    oracle.single_load_urls(when, a, domain, user, nonce))
+              << "page " << page.page_id() << " " << a.name << " " << domain
+              << " user " << user;
+        }
+      }
+    }
+  }
+}
+
+TEST(KeyedResolution, MatchesStringOracleOverCorpora) {
+  for (const web::Corpus& corpus :
+       {web::Corpus::top100(42), web::Corpus::news_sports(42)}) {
+    for (const web::PageModel& page : corpus.pages()) {
+      expect_resolvers_agree(page, OfflineConfig{});
+    }
+  }
+}
+
+TEST(KeyedResolution, MatchesStringOracleInEveryDeviceHandling) {
+  const web::Corpus corpus = web::Corpus::news_sports(42);
+  for (const DeviceHandling handling :
+       {DeviceHandling::Exact, DeviceHandling::EquivalenceClasses,
+        DeviceHandling::SingleClass}) {
+    OfflineConfig config;
+    config.device_handling = handling;
+    for (std::size_t i = 0; i < 10; ++i) {
+      expect_resolvers_agree(corpus.page(i), config);
+    }
+  }
 }
 
 }  // namespace

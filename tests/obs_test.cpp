@@ -29,6 +29,7 @@
 #include "obs/manifest.h"
 #include "obs/phase_profiler.h"
 #include "scoped_env.h"
+#include "sim/random.h"
 #include "web/corpus.h"
 
 namespace vroom {
@@ -374,6 +375,67 @@ TEST(Manifest, RejectsMalformedInput) {
   EXPECT_FALSE(obs::Manifest::from_json("{\"a\":\"b\"").has_value());
   EXPECT_FALSE(obs::Manifest::from_json("[\"a\"]").has_value());
   EXPECT_TRUE(obs::Manifest::from_json("{}").has_value());
+  // Only whitespace may follow the closing brace.
+  EXPECT_FALSE(
+      obs::Manifest::from_json("{\"a\":\"b\"}trailing garbage").has_value());
+  EXPECT_FALSE(obs::Manifest::from_json("{}x").has_value());
+  EXPECT_TRUE(obs::Manifest::from_json("{\"a\":\"b\"}\n \t\r\n").has_value());
+  // set() never stores a key twice, so a parsed manifest must not either.
+  EXPECT_FALSE(
+      obs::Manifest::from_json("{\"a\":\"1\",\"a\":\"2\"}").has_value());
+}
+
+TEST(Manifest, SeededMutationsRejectOrRoundTrip) {
+  // A real manifest: the one a one-page fleet sweep writes.
+  ScopedEnv cache("VROOM_RESULT_CACHE", nullptr);
+  ScopedEnv trace("VROOM_TRACE", nullptr);
+  ScopedEnv profile("VROOM_PROFILE", nullptr);
+  ScopedEnv pages("VROOM_BENCH_PAGES", "1");
+  ScopedEnv jobs("VROOM_JOBS", "1");
+  const std::string dir = fresh_dir("mutations");
+  ScopedEnv metrics_env("VROOM_METRICS", dir.c_str());
+  harness::RunOptions opt;
+  opt.seed = 42;
+  opt.loads_per_page = 1;
+  fleet::run_plan(
+      fleet::SweepPlan().add(web::Corpus::smoke(7), baselines::vroom(), opt));
+  const std::string original = read_file(dir + "/manifest.json");
+  ASSERT_TRUE(obs::Manifest::from_json(original).has_value()) << original;
+
+  // JSON structure, escapes (complete, truncated and out-of-range \u) and
+  // bytes >= 0x80, inserted or substituted anywhere in the text.
+  const std::vector<std::string> tokens = {
+      "\"", "{", "}", ":", ",", " ", "\\", "\\\"", "\\n", "\\u",
+      "\\u0041", "\\u001f", "\\u00e9", "\\u12", "\x80", "\xc3\xa9",
+      "\xff"};
+  sim::Rng rng(1017);
+  int accepted = 0, rejected = 0;
+  for (int i = 0; i < 200; ++i) {
+    std::string text = original;
+    const auto pos = static_cast<std::size_t>(
+        rng.uniform_int(0, static_cast<std::int64_t>(text.size()) - 1));
+    const std::string& token = tokens[static_cast<std::size_t>(
+        rng.uniform_int(0, static_cast<std::int64_t>(tokens.size()) - 1))];
+    switch (i % 3) {
+      case 0: text.insert(pos, token); break;
+      case 1:
+        text.erase(pos, static_cast<std::size_t>(rng.uniform_int(1, 4)));
+        break;
+      case 2: text.replace(pos, 1, token); break;
+    }
+    const auto parsed = obs::Manifest::from_json(text);
+    if (!parsed) {
+      ++rejected;
+      continue;
+    }
+    ++accepted;
+    const auto back = obs::Manifest::from_json(parsed->to_json());
+    ASSERT_TRUE(back.has_value()) << "mutation " << i << ":\n" << text;
+    EXPECT_EQ(*back, *parsed) << "mutation " << i << ":\n" << text;
+  }
+  // Both outcomes occur, so each path is exercised.
+  EXPECT_GT(accepted, 0);
+  EXPECT_GT(rejected, 0);
 }
 
 // --- Deployment: histogram percentiles + macro-trace audit ----------------

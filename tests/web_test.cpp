@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string>
+#include <vector>
 
 #include "web/corpus.h"
 #include "web/html_scanner.h"
@@ -253,6 +255,57 @@ TEST(CorpusTest, PageIdsUnique) {
   std::set<std::uint32_t> ids;
   for (const auto& p : c.pages()) ids.insert(p.page_id());
   EXPECT_EQ(ids.size(), c.size());
+}
+
+// The key <-> URL correspondence offline resolution rests on: a realized
+// URL is its slot's key formatted, parsing gives the key back, and distinct
+// keys of one slot never share a URL (so comparing keys is comparing URLs).
+TEST(RealizedKeyTest, UrlIsInjectiveFormatOfKey) {
+  LoadIdentity phone;
+  phone.wall_time = sim::days(45);
+  phone.device = nexus6();
+  phone.user = 7;
+  phone.nonce = 11;
+  LoadIdentity tablet;
+  tablet.wall_time = sim::days(45) + sim::hours(5);
+  tablet.device = nexus10();
+  tablet.user = 0;
+  tablet.nonce = 12;
+  // Digit strings that would collide if the URL merely concatenated them.
+  const std::vector<RealizedKey> tricky = {{1, 23}, {12, 3}, {123, 0},
+                                           {1, 0},  {10, 0}, {0, 1}};
+  int personalized = 0;
+  for (const Corpus& corpus : {Corpus::top100(42), Corpus::news_sports(42)}) {
+    for (const PageModel& page : corpus.pages()) {
+      const PageInstance instance(page, phone);
+      for (const Resource& r : page.resources()) {
+        std::vector<RealizedKey> keys = tricky;
+        for (const LoadIdentity& id : {phone, tablet}) {
+          const RealizedKey key = realize_key(r, id);
+          const std::string url = realize_url(page, r, id);
+          ASSERT_EQ(url, format_url(page, r, key));
+          EXPECT_EQ(key.user_part,
+                    r.volatility == Volatility::Personalized ? id.user : 0u);
+          keys.push_back(key);
+        }
+        EXPECT_EQ(instance.resource(r.id).url, realize_url(page, r, phone));
+        if (r.volatility == Volatility::Personalized) ++personalized;
+        for (const RealizedKey& key : keys) {
+          const std::string url = format_url(page, r, key);
+          const auto parsed = parse_url(url);
+          ASSERT_TRUE(parsed.has_value()) << url;
+          EXPECT_EQ(parsed->resource_id, r.id);
+          EXPECT_EQ(parsed->version, key.full_version) << url;
+          EXPECT_EQ(parsed->user, key.user_part) << url;
+          for (const RealizedKey& other : keys) {
+            if (other == key) continue;
+            EXPECT_NE(format_url(page, r, other), url);
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(personalized, 0);
 }
 
 }  // namespace
