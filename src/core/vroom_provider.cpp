@@ -91,6 +91,21 @@ std::vector<std::pair<std::uint32_t, std::string>> resolve_candidates(
   return ordered;
 }
 
+AdviceBuild advise_document(const web::PageInstance& served,
+                            std::uint32_t doc_id,
+                            const std::string& serving_domain,
+                            std::uint32_t user,
+                            const VroomProviderConfig& config,
+                            const OfflineResolver& offline) {
+  const auto ordered =
+      resolve_candidates(served, doc_id, serving_domain, user, config.mode,
+                         offline, config.hint_age);
+  AdviceBuild build = build_advice(served, ordered, serving_domain,
+                                   config.hints_enabled, config.push);
+  truncate_hints(build.hints, config.max_hints);
+  return build;
+}
+
 VroomProvider::VroomProvider(const server::ReplayStore& store,
                              VroomProviderConfig config)
     : store_(store),
@@ -105,11 +120,8 @@ server::DependencyAdvice VroomProvider::advise(const std::string& domain,
   if (!entry || entry->type != web::ResourceType::Html) return advice;
   const std::uint32_t doc_id = entry->template_id;
 
-  auto ordered = resolve_candidates(inst, doc_id, domain, req.user,
-                                    config_.mode, offline_, config_.hint_age);
-  AdviceBuild build = build_advice(inst, ordered, domain,
-                                   config_.hints_enabled, config_.push);
-  truncate_hints(build.hints, config_.max_hints);
+  AdviceBuild build =
+      advise_document(inst, doc_id, domain, req.user, config_, offline_);
   advice.hints = std::move(build.hints);
   advice.pushes = std::move(build.pushes);
   advice.push_policy = push_selection_name(config_.push);

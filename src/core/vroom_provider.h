@@ -61,6 +61,18 @@ struct VroomProviderConfig {
   sim::Time hint_age = 0;
 };
 
+// The one resolution path behind every Vroom advice for document `doc_id` of
+// `served`: resolve_candidates under `config`'s mode and hint age, then
+// build_advice, then truncate_hints to the header budget. VroomProvider
+// calls it after its store lookup; deploy::SnapshotHints calls it on crawl
+// instances, sharing one resolver across a page's snapshots.
+AdviceBuild advise_document(const web::PageInstance& served,
+                            std::uint32_t doc_id,
+                            const std::string& serving_domain,
+                            std::uint32_t user,
+                            const VroomProviderConfig& config,
+                            const OfflineResolver& offline);
+
 class VroomProvider final : public server::DependencyProvider {
  public:
   VroomProvider(const server::ReplayStore& store, VroomProviderConfig config);

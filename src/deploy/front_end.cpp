@@ -1,9 +1,10 @@
 #include "deploy/front_end.h"
 
 #include <algorithm>
-#include <cstring>
+#include <cstdio>
+#include <cstdlib>
+#include <utility>
 
-#include "server/replay_store.h"
 #include "sim/arena.h"
 #include "sim/random.h"
 #include "web/page_instance.h"
@@ -20,90 +21,127 @@ const char* hint_source_name(HintSource s) {
   return "?";
 }
 
-FrontEnd::FrontEnd(const web::Corpus& corpus, FrontEndConfig config,
-                   std::uint64_t seed)
-    : corpus_(corpus), config_(std::move(config)), seed_(seed) {
+sim::Time effective_recrawl_period(std::size_t pages,
+                                   const FrontEndConfig& config) {
+  return std::max(config.recrawl_period,
+                  static_cast<sim::Time>(pages) * config.crawl_cost);
+}
+
+SnapshotHints::SnapshotHints(const web::Corpus& corpus, FrontEndConfig config,
+                             std::uint64_t seed,
+                             std::vector<web::DeviceProfile> devices,
+                             sim::Time window)
+    : corpus_(corpus),
+      config_(std::move(config)),
+      seed_(seed),
+      devices_(std::move(devices)),
+      window_(window),
+      period_(effective_recrawl_period(corpus.size(), config_)),
+      rows_(corpus.size()) {
   // A front-end resolves from its crawls only — it never renders the page
   // at serve time, so the online modes make no sense here.
   config_.provider.mode = core::ResolutionMode::OfflineOnly;
   config_.provider.hint_age = 0;  // staleness is modelled by snapshot time
-  worker_busy_until_.assign(
-      static_cast<std::size_t>(std::max(1, config_.gen_workers)), 0);
 }
 
-sim::Time FrontEnd::effective_recrawl_period() const {
-  const auto pages = static_cast<sim::Time>(corpus_.size());
-  return std::max(config_.recrawl_period, pages * config_.crawl_cost);
-}
-
-sim::Time FrontEnd::last_crawl(sim::Time now, int page_index) const {
+sim::Time SnapshotHints::last_crawl(sim::Time now, int page_index) const {
   // One crawler cycles the corpus round-robin, spending crawl_cost per
   // page; it has been running since before the window, so every page has a
   // well-defined latest crawl (possibly at negative virtual time) and the
   // window starts with staleness already spread over [0, period).
-  const sim::Time period = effective_recrawl_period();
   const sim::Time phase = static_cast<sim::Time>(page_index) *
                           config_.crawl_cost;
   // Largest phase + k*period <= now, for any integer k (floor division
   // that is correct for negative numerators too).
-  sim::Time k = (now - phase) / period;
-  if ((now - phase) % period < 0) --k;
-  return phase + k * period;
+  sim::Time k = (now - phase) / period_;
+  if ((now - phase) % period_ < 0) --k;
+  return phase + k * period_;
 }
 
-int FrontEnd::generate(int page_index, const web::DeviceProfile& device,
-                       sim::Time crawl_t) {
-  ++stats_.generations;
-  // Memo key over everything the resolution can observe: the page, the
-  // snapshot time, and the device's full identity (name and cpu_scale
-  // included — cheaper to hash than to prove they cannot matter).
-  std::uint64_t cpu_bits = 0;
-  static_assert(sizeof cpu_bits == sizeof device.cpu_scale);
-  std::memcpy(&cpu_bits, &device.cpu_scale, sizeof cpu_bits);
-  std::uint64_t fingerprint = sim::hash64(device.name);
-  fingerprint = sim::derive_seed(
-      fingerprint, static_cast<std::uint64_t>(device.screen * 9 +
-                                              device.dpi * 3 + device.width));
-  fingerprint = sim::derive_seed(fingerprint, cpu_bits);
-  const std::uint64_t memo_key = sim::derive_seed(
-      sim::derive_seed(static_cast<std::uint64_t>(page_index),
-                       static_cast<std::uint64_t>(crawl_t)),
-      fingerprint);
-  if (const auto it = memo_.find(memo_key); it != memo_.end()) {
-    return it->second;
-  }
+std::size_t SnapshotHints::snapshot_count(int page_index) const {
+  // Snapshots last_crawl(0, p) + k * period for k >= 0 while < window:
+  // every serve at a time in [0, window) reads one of them.
+  const sim::Time first = last_crawl(0, page_index);
+  if (window_ <= first) return 0;
+  return static_cast<std::size_t>((window_ - first + period_ - 1) / period_);
+}
+
+void SnapshotHints::build_row(int page_index) {
   const web::PageModel& model =
       corpus_.page(static_cast<std::size_t>(page_index));
-  // The crawl's load identity: wall time of the snapshot, the arrival's
-  // rendering class (the front-end emulates the client device, §4.1.2),
-  // no cookie, and a nonce derived from (seed, page, snapshot) so repeat
-  // generations of the same snapshot see the same instance.
-  web::LoadIdentity id;
-  id.wall_time = config_.day0 + crawl_t;
-  id.device = device;
-  id.user = 0;
-  id.nonce = sim::derive_seed(
-      sim::derive_seed(seed_, "deploy:crawl"),
-      sim::derive_seed(static_cast<std::uint64_t>(model.page_id()),
-                       static_cast<std::uint64_t>(crawl_t)));
-  // Crawl world on the pooled per-thread arena: built, advised on, and
-  // discarded — the same per-load lifetime as a live load's world.
-  sim::PooledArena arena;
-  const web::PageInstance crawl(model, id, arena.get());
-  const server::ReplayStore store(crawl);
-  core::VroomProvider provider(store, config_.provider);
+  // One resolver for the whole row: its memo holds each snapshot's device
+  // clustering and crawl intersections, which every device class reuses.
+  const core::OfflineResolver offline(model, config_.provider.offline);
+  const sim::Time first = last_crawl(0, page_index);
+  const std::size_t snapshots = snapshot_count(page_index);
+  std::vector<int> row(snapshots * devices_.size(), 0);
+  // A page whose root is not a document gets no advice: its row stays 0.
+  const bool has_document =
+      model.resource(0).type == web::ResourceType::Html;
+  for (std::size_t k = 0; has_document && k < snapshots; ++k) {
+    const sim::Time crawl_t = first + static_cast<sim::Time>(k) * period_;
+    // The crawl's load identity: wall time of the snapshot, the device
+    // class (the front-end emulates the client device, §4.1.2), no cookie,
+    // and a nonce derived from (seed, page, snapshot).
+    web::LoadIdentity id;
+    id.wall_time = config_.day0 + crawl_t;
+    id.user = 0;
+    id.nonce = sim::derive_seed(
+        sim::derive_seed(seed_, "deploy:crawl"),
+        sim::derive_seed(static_cast<std::uint64_t>(model.page_id()),
+                         static_cast<std::uint64_t>(crawl_t)));
+    for (std::size_t d = 0; d < devices_.size(); ++d) {
+      id.device = devices_[d];
+      // Crawl world on the pooled per-thread arena: built, advised on, and
+      // discarded — the same per-load lifetime as a live load's world.
+      sim::PooledArena arena;
+      const web::PageInstance crawl(model, id, arena.get());
+      row[k * devices_.size() + d] = static_cast<int>(
+          core::advise_document(crawl, 0, model.first_party(), 0,
+                                config_.provider, offline)
+              .hints.hints.size());
+    }
+  }
+  rows_[static_cast<std::size_t>(page_index)] = std::move(row);
+}
 
-  http::Request root;
-  root.url = crawl.resource(0).url;
-  root.url_id = 0;
-  root.is_document = true;
-  root.priority = 100;
-  root.device = device;
-  const server::DependencyAdvice advice =
-      provider.advise(model.first_party(), root);
-  const int hints = static_cast<int>(advice.hints.hints.size());
-  memo_.emplace(memo_key, hints);
-  return hints;
+int SnapshotHints::hints(int page_index, sim::Time crawl_t,
+                         std::size_t device_class) const {
+  const bool page_known =
+      page_index >= 0 && static_cast<std::size_t>(page_index) < rows_.size();
+  if (page_known && device_class < devices_.size()) {
+    const std::vector<int>& row = rows_[static_cast<std::size_t>(page_index)];
+    const sim::Time offset = crawl_t - last_crawl(0, page_index);
+    if (offset >= 0 && offset % period_ == 0) {
+      const std::size_t slot =
+          static_cast<std::size_t>(offset / period_) * devices_.size() +
+          device_class;
+      if (slot < row.size()) return row[slot];
+    }
+  }
+  std::fprintf(stderr,
+               "[deploy] fatal: SnapshotHints has no snapshot for page %d at "
+               "crawl time %lld us, device class %zu (window %lld us, %zu "
+               "device classes, row %s)\n",
+               page_index, static_cast<long long>(crawl_t), device_class,
+               static_cast<long long>(window_), devices_.size(),
+               !page_known ? "out of range"
+               : rows_[static_cast<std::size_t>(page_index)].empty()
+                   ? "unbuilt"
+                   : "built");
+  std::abort();
+}
+
+FrontEnd::FrontEnd(const SnapshotHints& hints)
+    : hints_(hints), config_(hints.config()) {
+  worker_busy_until_.assign(
+      static_cast<std::size_t>(std::max(1, config_.gen_workers)), 0);
+}
+
+int FrontEnd::generate(int page_index, std::size_t device_class,
+                       sim::Time crawl_t) {
+  ++stats_.generations;
+  return hints_.hints(page_index, crawl_t, device_class);
 }
 
 sim::Time FrontEnd::charge_worker(sim::Time now, sim::Time cost) {
@@ -138,11 +176,12 @@ void FrontEnd::cache_insert(CacheEntry entry) {
 }
 
 ServeDecision FrontEnd::serve(sim::Time now, int page_index,
-                              const web::DeviceProfile& device,
+                              std::size_t device_class,
                               trace::Recorder* recorder) {
   ++stats_.serves;
-  const sim::Time snapshot = last_crawl(now, page_index);
+  const sim::Time snapshot = hints_.last_crawl(now, page_index);
   // Hints depend on the rendering class, so the cache is keyed by it too.
+  const web::DeviceProfile& device = hints_.device(device_class);
   const std::uint64_t key = sim::derive_seed(
       static_cast<std::uint64_t>(page_index),
       static_cast<std::uint64_t>(device.screen * 9 + device.dpi * 3 +
@@ -150,7 +189,7 @@ ServeDecision FrontEnd::serve(sim::Time now, int page_index,
   // A reference into the corpus: only the trace calls copy it, so an
   // untraced serve makes no per-view string.
   const std::string& page_label =
-      corpus_.page(static_cast<std::size_t>(page_index)).first_party();
+      hints_.corpus().page(static_cast<std::size_t>(page_index)).first_party();
   const auto trace_serve = [&](const char* name, const ServeDecision& d) {
     if (recorder == nullptr) return;
     recorder->instant(
@@ -177,7 +216,7 @@ ServeDecision FrontEnd::serve(sim::Time now, int page_index,
       // deployment report prices.
       d.source = HintSource::Stale;
       ++stats_.stale_serves;
-      const int hints = generate(page_index, device, snapshot);
+      const int hints = generate(page_index, device_class, snapshot);
       charge_worker(now, config_.gen_base_cost +
                              static_cast<sim::Time>(hints) *
                                  config_.gen_per_hint_cost);
@@ -206,7 +245,7 @@ ServeDecision FrontEnd::serve(sim::Time now, int page_index,
       ++stats_.hintless_serves;
       trace_serve("fe.cache_miss", d);
     } else {
-      const int hints = generate(page_index, device, snapshot);
+      const int hints = generate(page_index, device_class, snapshot);
       const sim::Time cost = config_.gen_base_cost +
                              static_cast<sim::Time>(hints) *
                                  config_.gen_per_hint_cost;

@@ -13,13 +13,18 @@
 //     generated from the latest crawl *snapshot*, so every served hint set
 //     is somewhat stale, and cache hits can be staler still.
 //
-// FrontEnd models all three deterministically on top of the existing
-// core::VroomProvider (generation really resolves the crawl-time instance;
-// the hint count and header bytes are the real advice, not a constant).
-// The deployment scenario prices the resulting staleness through the
-// hint_age micro benchmarks (see scenario.h).
+// FrontEnd models all three deterministically. The hints it serves are the
+// real advice for the crawl-time instance (core::advise_document, the same
+// path core::VroomProvider takes), not a constant. A generation's outcome
+// is a pure function of (page, snapshot, device class), so one
+// SnapshotHints table resolves every snapshot of the traffic window once,
+// and any number of front-ends read it; the model still performs, counts
+// and charges every generation. The deployment scenario prices the
+// resulting staleness through the hint_age micro benchmarks (see
+// scenario.h).
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <list>
 #include <string>
@@ -53,10 +58,74 @@ struct FrontEndConfig {
   // Wall-clock origin of the traffic window (page rotations are computed
   // against day0 + virtual time, matching the harness convention).
   sim::Time day0 = sim::days(45);
-  // How the front-end resolves dependencies from its crawls. The default
-  // OfflineOnly is forced in the constructor: a front-end has no online
-  // path (it is not the origin rendering the page).
+  // How the front-end resolves dependencies from its crawls. OfflineOnly
+  // with hint_age 0 is forced when the snapshot table is built: a
+  // front-end has no online path (it is not the origin rendering the
+  // page), and staleness is modelled by snapshot time.
   core::VroomProviderConfig provider;
+};
+
+// Effective crawl refresh period for a corpus of `pages`:
+// max(recrawl_period, pages * crawl_cost), >= recrawl_period when the
+// crawler is throughput-bound.
+sim::Time effective_recrawl_period(std::size_t pages,
+                                   const FrontEndConfig& config);
+
+// The hint count of every crawl snapshot a front-end can serve in a
+// traffic window: for each page, each snapshot time
+// last_crawl(0, page) + k * period below `window`, and each device class,
+// the size of the advice core::advise_document resolves from that
+// snapshot's crawl instance. Each page's row is resolved with one
+// core::OfflineResolver shared by all of its snapshots and device classes,
+// so device clustering and crawl intersections run once per
+// (page, snapshot).
+//
+// Rows are independent: build_row(p) writes row p only, so distinct rows
+// may be built concurrently. Once every row is built the table is
+// read-only and any number of threads may look up in it.
+class SnapshotHints {
+ public:
+  // An empty table. `corpus` must outlive it; `seed` feeds the crawl
+  // nonces only; device class i is `devices[i]`.
+  SnapshotHints(const web::Corpus& corpus, FrontEndConfig config,
+                std::uint64_t seed, std::vector<web::DeviceProfile> devices,
+                sim::Time window);
+
+  // Resolves every snapshot of page `page_index` for every device class.
+  void build_row(int page_index);
+
+  // Hint count of the snapshot at crawl time `crawl_t` for device class
+  // `device_class`. Aborts, naming the page and crawl time, when the row is
+  // unbuilt or `crawl_t` is not one of the window's snapshots: there is no
+  // on-demand fallback.
+  int hints(int page_index, sim::Time crawl_t,
+            std::size_t device_class) const;
+
+  // Virtual time of the latest completed crawl of `page_index` at `now`.
+  // May be negative: the crawler has been cycling since before the window.
+  sim::Time last_crawl(sim::Time now, int page_index) const;
+
+  // Effective crawl refresh period of the table's corpus.
+  sim::Time period() const { return period_; }
+  const web::Corpus& corpus() const { return corpus_; }
+  const FrontEndConfig& config() const { return config_; }
+  const web::DeviceProfile& device(std::size_t device_class) const {
+    return devices_[device_class];
+  }
+
+ private:
+  // Snapshots of `page_index` inside the window.
+  std::size_t snapshot_count(int page_index) const;
+
+  const web::Corpus& corpus_;
+  FrontEndConfig config_;
+  std::uint64_t seed_;
+  std::vector<web::DeviceProfile> devices_;
+  sim::Time window_;
+  sim::Time period_;
+  // rows_[page][snapshot * devices_.size() + device_class]; empty =
+  // unbuilt.
+  std::vector<std::vector<int>> rows_;
 };
 
 // What kind of hint set a serve produced.
@@ -101,28 +170,19 @@ struct FrontEndStats {
 
 class FrontEnd {
  public:
-  // `corpus` must outlive the front-end. `seed` feeds crawl-nonce
-  // derivation only; all scheduling is deterministic arithmetic.
-  FrontEnd(const web::Corpus& corpus, FrontEndConfig config,
-           std::uint64_t seed);
+  // `hints` must be fully built and outlive the front-end; it supplies the
+  // corpus, the configuration and the device classes. All scheduling is
+  // deterministic arithmetic.
+  explicit FrontEnd(const SnapshotHints& hints);
 
-  // Serves one page view arriving at virtual time `now`. `recorder` may be
+  // Serves one page view arriving at virtual time `now` from device class
+  // `device_class` (an index into the table's devices). `recorder` may be
   // nullptr; with one attached, fe.cache_hit / fe.cache_miss /
   // fe.stale_serve / fe.recrawl events are emitted on the Deploy layer.
-  ServeDecision serve(sim::Time now, int page_index,
-                      const web::DeviceProfile& device,
+  ServeDecision serve(sim::Time now, int page_index, std::size_t device_class,
                       trace::Recorder* recorder = nullptr);
 
-  // Virtual time of the latest completed crawl of `page_index` at `now`.
-  // May be negative: the crawler has been cycling since before the window.
-  sim::Time last_crawl(sim::Time now, int page_index) const;
-
-  // Effective crawl refresh period (>= recrawl_period when the crawler is
-  // throughput-bound).
-  sim::Time effective_recrawl_period() const;
-
   const FrontEndStats& stats() const { return stats_; }
-  const FrontEndConfig& config() const { return config_; }
 
  private:
   struct CacheEntry {
@@ -131,20 +191,12 @@ class FrontEnd {
     int hints = 0;
   };
 
-  // Resolves the crawl-snapshot advice for (page, device) at snapshot time
-  // `crawl_t`; returns the hint count. This is the expensive step the
-  // cache and the worker pool exist to amortize.
-  //
-  // The resolved count is a pure function of (page, device, crawl_t): the
-  // crawl nonce derives from (seed, page, crawl_t) alone, so repeat
-  // generations of one snapshot rebuild an identical crawl world. Those
-  // repeats — stale refreshes and evicted-entry re-misses of hot pages —
-  // dominate the deployment macro pass's CPU, so the count is memoized in
-  // `memo_`. Only the simulator shortcut is cached: the *model* still
-  // performs every generation (stats_.generations counts them all, and
-  // callers still charge the worker pool per call).
-  int generate(int page_index, const web::DeviceProfile& device,
-               sim::Time crawl_t);
+  // One hint generation for (page, device class) from the snapshot at
+  // `crawl_t`: the expensive step the cache and the worker pool exist to
+  // amortize. The model performs and counts every one (callers charge the
+  // worker pool per call); the simulator reads the resolved count from the
+  // shared table.
+  int generate(int page_index, std::size_t device_class, sim::Time crawl_t);
 
   // Charges one generation to the least-busy worker; returns the queueing
   // delay before it could start.
@@ -153,18 +205,14 @@ class FrontEnd {
   CacheEntry* cache_find(std::uint64_t key);
   void cache_insert(CacheEntry entry);
 
-  const web::Corpus& corpus_;
-  FrontEndConfig config_;
-  std::uint64_t seed_;
+  const SnapshotHints& hints_;
+  const FrontEndConfig& config_;
   FrontEndStats stats_;
 
   std::vector<sim::Time> worker_busy_until_;
   // LRU: most-recent at front; map points into the list.
   std::list<CacheEntry> lru_;
   std::unordered_map<std::uint64_t, std::list<CacheEntry>::iterator> index_;
-  // generate() results keyed by (page, full device identity, crawl_t);
-  // bounded by the distinct snapshots of the traffic window.
-  std::unordered_map<std::uint64_t, int> memo_;
 };
 
 }  // namespace vroom::deploy

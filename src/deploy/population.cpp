@@ -72,14 +72,22 @@ std::vector<double> default_diurnal_profile() {
   return p;
 }
 
-double diurnal_multiplier(const PopulationConfig& cfg, sim::Time t) {
-  const std::vector<double> profile =
-      cfg.diurnal.empty() ? default_diurnal_profile() : cfg.diurnal;
+namespace {
+
+// The hour-of-day lookup behind diurnal_multiplier, on a resolved profile.
+double multiplier_at(const std::vector<double>& profile, sim::Time t) {
   if (profile.empty()) return 1.0;
   const auto hour = static_cast<std::size_t>((t / sim::hours(1)) %
                                              static_cast<sim::Time>(
                                                  profile.size()));
   return profile[hour];
+}
+
+}  // namespace
+
+double diurnal_multiplier(const PopulationConfig& cfg, sim::Time t) {
+  return multiplier_at(
+      cfg.diurnal.empty() ? default_diurnal_profile() : cfg.diurnal, t);
 }
 
 std::vector<Arrival> build_population(int num_pages,
@@ -92,6 +100,7 @@ std::vector<Arrival> build_population(int num_pages,
     return arrivals;
   }
 
+  // Resolved once per stream: the thinning loop reads it per candidate.
   const std::vector<double> profile =
       cfg.diurnal.empty() ? default_diurnal_profile() : cfg.diurnal;
   double max_mult = 1.0;
@@ -141,7 +150,7 @@ std::vector<Arrival> build_population(int num_pages,
   while (true) {
     t += sim::from_seconds(arrival_rng.exponential(1.0 / peak_rate));
     if (t >= cfg.window) break;
-    if (!arrival_rng.chance(diurnal_multiplier(cfg, t) / max_mult)) continue;
+    if (!arrival_rng.chance(multiplier_at(profile, t) / max_mult)) continue;
 
     Arrival a;
     a.at = t;

@@ -100,11 +100,12 @@ void record_arrival_metrics(sim::Time origin_wait, sim::Time fe_wait) {
   max_wait.set_max(origin_wait);
 }
 
-// One offered-load level's complete world and outcome. Levels are fully
-// independent — each owns its population, event loop, FrontEnd, links, and
-// recorder — so they run concurrently on the fleet pool; everything that
-// must come out in level order (the LevelReport, bucket-serve totals, the
-// trace sink) is kept here and assembled serially after the join.
+// One offered-load level's world and outcome. Levels are independent —
+// each owns its event loop, FrontEnd, links, and recorder, and reads the
+// shared snapshot-hint table only after it is complete — so they run
+// concurrently on the fleet pool; everything that must come out in level
+// order (the LevelReport, bucket-serve totals, the trace sink) is kept here
+// and assembled serially after the join.
 struct LevelRun {
   LevelReport report;
   std::vector<std::int64_t> bucket_serves;
@@ -295,19 +296,47 @@ DeploymentReport run_deployment(const web::Corpus& corpus,
   }
   report.origin_link_mbps = link_bps / 1e6;
 
-  // --- Macro: one contention pass per offered level, on the pool. ---
-  std::vector<LevelRun> runs(cfg.offered_levels.size());
+  // --- Macro: inputs first, then one contention pass per offered level. ---
+  // Pass 1 builds every level's population and the snapshot-hint table's
+  // per-page rows, each task writing its own slot; largest offered level
+  // first, because its population is the longest task. Pass 2 replays each
+  // level against the finished table, which the levels share read-only.
+  const std::size_t n_levels = cfg.offered_levels.size();
+  std::vector<LevelRun> runs(n_levels);
   const double macro_started = monotonic_seconds();
 
-  fleet::run_tasks(cfg.offered_levels.size(), [&](std::size_t li) {
+  std::vector<web::DeviceProfile> device_classes;
+  for (const DeviceShare& share : mix) device_classes.push_back(share.device);
+  SnapshotHints hints(corpus, cfg.front_end,
+                      sim::derive_seed(cfg.seed, "deploy:frontend"),
+                      std::move(device_classes), pop.window);
+  std::vector<std::size_t> levels_by_load(n_levels);
+  for (std::size_t li = 0; li < n_levels; ++li) levels_by_load[li] = li;
+  std::stable_sort(levels_by_load.begin(), levels_by_load.end(),
+                   [&cfg](std::size_t a, std::size_t b) {
+                     return cfg.offered_levels[a] > cfg.offered_levels[b];
+                   });
+  std::vector<std::vector<Arrival>> populations(n_levels);
+  fleet::run_tasks(
+      n_levels + static_cast<std::size_t>(pages), [&](std::size_t task) {
+        if (task >= n_levels) {
+          hints.build_row(static_cast<int>(task - n_levels));
+          return;
+        }
+        const std::size_t li = levels_by_load[task];
+        PopulationConfig level_pop = pop;
+        level_pop.mean_arrivals_per_sec = cfg.offered_levels[li];
+        populations[li] = build_population(
+            pages, level_pop,
+            sim::derive_seed(cfg.seed, "deploy:level-" + std::to_string(li)),
+            env.deploy_arrivals);
+      });
+
+  fleet::run_tasks(n_levels, [&](std::size_t li) {
     LevelRun& run = runs[li];
     run.bucket_serves.assign(static_cast<std::size_t>(buckets), 0);
-    PopulationConfig level_pop = pop;
-    level_pop.mean_arrivals_per_sec = cfg.offered_levels[li];
-    const std::vector<Arrival> arrivals = build_population(
-        pages, level_pop,
-        sim::derive_seed(cfg.seed, "deploy:level-" + std::to_string(li)),
-        env.deploy_arrivals);
+    // Released when the level finishes, so finished levels hold no stream.
+    const std::vector<Arrival> arrivals = std::move(populations[li]);
 
     run.loop = std::make_unique<sim::EventLoop>();
     sim::EventLoop& loop = *run.loop;
@@ -316,8 +345,7 @@ DeploymentReport run_deployment(const web::Corpus& corpus,
     }
     trace::Recorder* recorder = run.recorder.get();
 
-    FrontEnd fe(corpus, cfg.front_end,
-                sim::derive_seed(cfg.seed, "deploy:frontend"));
+    FrontEnd fe(hints);
     // Per-level macro state lives on a pooled bump arena: the dense link
     // table and the Link instances themselves (trivially destructible, so
     // arena placement needs no teardown) are built, replayed through, and
@@ -353,8 +381,7 @@ DeploymentReport run_deployment(const web::Corpus& corpus,
     for (const Arrival& a : arrivals) {
       loop.advance_to(a.at);
       const sim::Time now = a.at;
-      const web::DeviceProfile& device = mix[a.device].device;
-      const ServeDecision d = fe.serve(now, a.page, device, recorder);
+      const ServeDecision d = fe.serve(now, a.page, a.device, recorder);
 
       const int bucket = micro.bucket_for(d.source, d.staleness);
       sim::Time base;
@@ -449,8 +476,7 @@ DeploymentReport run_deployment(const web::Corpus& corpus,
         env.deploy_arrivals > 0 &&
         level.arrivals == static_cast<std::int64_t>(env.deploy_arrivals);
     const double window_s = sim::to_seconds(
-        truncated && !arrivals.empty() ? arrivals.back().at
-                                       : level_pop.window);
+        truncated && !arrivals.empty() ? arrivals.back().at : pop.window);
     const std::int64_t completed = level.arrivals - level.timeouts;
     level.served_per_sec =
         window_s > 0 ? static_cast<double>(completed) / window_s : 0.0;
@@ -528,7 +554,7 @@ DeploymentReport run_deployment(const web::Corpus& corpus,
   }
 
   report.effective_recrawl =
-      FrontEnd(corpus, cfg.front_end, cfg.seed).effective_recrawl_period();
+      effective_recrawl_period(corpus.size(), cfg.front_end);
 
   // --- Staleness priced against content persistence (Figure 7's axis). ---
   for (std::size_t b = 0; b < micro.ages.size(); ++b) {

@@ -13,8 +13,11 @@
 //     fetches), and hintless serves — plus a warm-cache revisit column
 //     measured serially (prime + revisit, Figure 20 style).
 //
-//   macro (parallel per level)   — the population's arrival stream runs
-//     against a deploy::FrontEnd and per-origin net::Link instances. Each
+//   macro (parallel, two passes) — pass 1 builds every level's arrival
+//     stream and the deploy::SnapshotHints table (each crawl snapshot of
+//     the window resolved once per page and device class); pass 2 runs
+//     each level's stream against its own deploy::FrontEnd, reading that
+//     shared table, and per-origin net::Link instances. Each
 //     page view's PLT is the micro table entry for its (device, hint
 //     condition) plus the front-end's synchronous hint wait plus the worst
 //     per-origin queueing delay it experienced. Queueing is real FIFO
@@ -29,12 +32,15 @@
 // Determinism: micro cells run on the fleet (bit-identical at any
 // VROOM_JOBS); the warm column parallelizes over independent (device,
 // page) pairs with each pair's prime -> revisit order kept serial; the
-// offered-load levels run concurrently on the same pool because each level
-// owns its entire world (population, FrontEnd, links, recorder) — reports,
-// bucket-serve totals, and trace sinks are assembled in level order after
-// the join, and every shared obs metric merges commutatively (counter
-// adds, gauge maxima, fixed-boundary histogram bucket adds). The whole
-// report is therefore byte-stable across worker counts.
+// macro pass-1 tasks each write their own population or table row, and
+// the table is a pure function of (corpus, front-end config, seed, device
+// mix, window); the offered-load levels then run concurrently on the same
+// pool because each level owns its world (FrontEnd, links, recorder) and
+// only reads the finished table — reports, bucket-serve totals, and trace
+// sinks are assembled in level order after the join, and every shared obs
+// metric merges commutatively (counter adds, gauge maxima, fixed-boundary
+// histogram bucket adds). The whole report is therefore byte-stable across
+// worker counts.
 #pragma once
 
 #include <cstdint>
@@ -144,7 +150,8 @@ struct DeploymentReport {
   std::vector<StaleBucketReport> stale_buckets;  // ages, fresh first
   // Total arrivals replayed across all levels (deterministic).
   std::int64_t macro_arrivals = 0;
-  // Wall-clock seconds of the macro passes / the warm-revisit column —
+  // Wall-clock seconds of the macro passes (populations and snapshot-hint
+  // table included) / the warm-revisit column —
   // wall-plane throughput facts for bench reporting (stderr only); never
   // part of any byte-identity check.
   double macro_wall_seconds = 0;

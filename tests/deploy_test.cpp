@@ -15,11 +15,17 @@
 
 #include <gtest/gtest.h>
 
+#include "core/vroom_provider.h"
 #include "deploy/front_end.h"
 #include "deploy/population.h"
+#include "http/message.h"
 #include "obs/metrics.h"
 #include "scoped_env.h"
+#include "server/replay_store.h"
+#include "sim/arena.h"
+#include "sim/random.h"
 #include "web/corpus.h"
+#include "web/page_instance.h"
 
 namespace vroom {
 namespace {
@@ -134,6 +140,53 @@ TEST(Population, BitIdenticalDrawsAcrossJobCounts) {
   }
 }
 
+// Digest of an arrival stream over every field of every arrival.
+std::uint64_t stream_digest(const std::vector<deploy::Arrival>& arrivals) {
+  std::uint64_t h = sim::hash64("deploy:population-golden");
+  for (const deploy::Arrival& a : arrivals) {
+    h = sim::derive_seed(h, static_cast<std::uint64_t>(a.at));
+    h = sim::derive_seed(h, (static_cast<std::uint64_t>(a.user) << 32) |
+                                (static_cast<std::uint64_t>(a.page) << 16) |
+                                (static_cast<std::uint64_t>(a.device) << 8) |
+                                (a.cookie ? 2u : 0u) | (a.warm ? 1u : 0u));
+  }
+  return h;
+}
+
+// The default population at 0.4 views/s (deploy_day's top level) over 25
+// pages, pinned byte for byte. Recorded before the thinning loop stopped
+// rebuilding the diurnal profile per candidate, so it shows that change
+// left the stream untouched. Replacing sim::Rng's draws or the per-user
+// engine (ROADMAP item 2) moves both figures: re-record them there.
+TEST(Population, DefaultStreamMatchesGoldenDigest) {
+  deploy::PopulationConfig cfg;
+  cfg.mean_arrivals_per_sec = 0.4;
+  const auto arrivals = deploy::build_population(25, cfg, 42);
+  EXPECT_EQ(arrivals.size(), 34892u);
+  EXPECT_EQ(sim::hex64(stream_digest(arrivals)), "d9d7306aec20815d");
+}
+
+TEST(Population, DiurnalMultiplierCyclesTheResolvedProfile) {
+  deploy::PopulationConfig cfg;
+  const std::vector<double> profile = deploy::default_diurnal_profile();
+  EXPECT_EQ(deploy::diurnal_multiplier(cfg, sim::hours(20) + 1), profile[20]);
+  EXPECT_EQ(deploy::diurnal_multiplier(cfg, sim::hours(27)), profile[3]);
+  cfg.diurnal = {2.0, 0.5};
+  EXPECT_EQ(deploy::diurnal_multiplier(cfg, sim::hours(3)), 0.5);
+}
+
+// A snapshot-hint table over `devices` with every row resolved.
+deploy::SnapshotHints built_table(const web::Corpus& corpus,
+                                  const deploy::FrontEndConfig& cfg,
+                                  std::vector<web::DeviceProfile> devices,
+                                  sim::Time window = sim::hours(24)) {
+  deploy::SnapshotHints hints(corpus, cfg, 42, std::move(devices), window);
+  for (int p = 0; p < static_cast<int>(corpus.size()); ++p) {
+    hints.build_row(p);
+  }
+  return hints;
+}
+
 TEST(FrontEnd, CachesHitsAndTracksStaleness) {
   const web::Corpus corpus = web::Corpus::smoke(42, 4);
   deploy::FrontEndConfig cfg;
@@ -141,32 +194,35 @@ TEST(FrontEnd, CachesHitsAndTracksStaleness) {
   // hint counts; this test is about cache mechanics, so give generation
   // room to finish synchronously.
   cfg.serve_deadline = sim::seconds(5);
-  deploy::FrontEnd fe(corpus, cfg, 42);
+  const deploy::SnapshotHints hints =
+      built_table(corpus, cfg, {web::nexus6(), web::nexus10()});
+  constexpr std::size_t kPhone = 0, kTablet = 1;
+  deploy::FrontEnd fe(hints);
 
-  const auto first = fe.serve(sim::minutes(1), 0, web::nexus6());
+  const auto first = fe.serve(sim::minutes(1), 0, kPhone);
   EXPECT_FALSE(first.cache_hit);
   EXPECT_EQ(first.source, deploy::HintSource::Fresh);
   EXPECT_GT(first.hints, 0);
   EXPECT_GE(first.staleness, 0);
 
-  const auto second = fe.serve(sim::minutes(2), 0, web::nexus6());
+  const auto second = fe.serve(sim::minutes(2), 0, kPhone);
   EXPECT_TRUE(second.cache_hit);
   EXPECT_EQ(second.source, deploy::HintSource::Cached);
   EXPECT_EQ(second.queue_wait, 0);
   EXPECT_EQ(second.hints, first.hints);
 
   // Different rendering class = different cache key.
-  const auto tablet = fe.serve(sim::minutes(3), 0, web::nexus10());
+  const auto tablet = fe.serve(sim::minutes(3), 0, kTablet);
   EXPECT_FALSE(tablet.cache_hit);
 
   // After a recrawl the cached entry is stale: served immediately (SWR),
   // flagged, and refreshed for the next serve.
-  const sim::Time later = sim::minutes(2) + fe.effective_recrawl_period();
-  const auto stale = fe.serve(later, 0, web::nexus6());
+  const sim::Time later = sim::minutes(2) + hints.period();
+  const auto stale = fe.serve(later, 0, kPhone);
   EXPECT_TRUE(stale.cache_hit);
   EXPECT_EQ(stale.source, deploy::HintSource::Stale);
   EXPECT_GT(stale.staleness, cfg.recrawl_period / 2);
-  const auto refreshed = fe.serve(later + sim::minutes(1), 0, web::nexus6());
+  const auto refreshed = fe.serve(later + sim::minutes(1), 0, kPhone);
   EXPECT_EQ(refreshed.source, deploy::HintSource::Cached);
   EXPECT_LT(refreshed.staleness, stale.staleness);
 
@@ -181,13 +237,14 @@ TEST(FrontEnd, SaturatedGenerationQueueServesHintless) {
   cfg.gen_workers = 1;
   cfg.gen_base_cost = sim::seconds(5);
   cfg.serve_deadline = sim::ms(100);
-  deploy::FrontEnd fe(corpus, cfg, 42);
+  const deploy::SnapshotHints hints = built_table(corpus, cfg, {web::nexus6()});
+  deploy::FrontEnd fe(hints);
 
   // First miss generates (and blows the deadline synchronously: cost alone
   // exceeds it), later misses find the worker busy and give up queueing.
-  const auto a = fe.serve(0, 0, web::nexus6());
+  const auto a = fe.serve(0, 0, 0);
   EXPECT_EQ(a.source, deploy::HintSource::None);
-  const auto b = fe.serve(sim::ms(1), 1, web::nexus6());
+  const auto b = fe.serve(sim::ms(1), 1, 0);
   EXPECT_EQ(b.source, deploy::HintSource::None);
   EXPECT_EQ(b.queue_wait, 0) << "hintless serves must not stall the page";
   EXPECT_EQ(fe.stats().hintless_serves, 2);
@@ -198,15 +255,150 @@ TEST(FrontEnd, CrawlScheduleIsPeriodicAndThroughputBound) {
   deploy::FrontEndConfig cfg;
   cfg.recrawl_period = sim::minutes(10);
   cfg.crawl_cost = sim::minutes(30);  // 4 pages x 30min > 10min target
-  deploy::FrontEnd fe(corpus, cfg, 42);
-  EXPECT_EQ(fe.effective_recrawl_period(), 4 * sim::minutes(30));
+  const deploy::SnapshotHints hints = built_table(corpus, cfg, {web::nexus6()});
+  EXPECT_EQ(hints.period(), 4 * sim::minutes(30));
+  EXPECT_EQ(deploy::effective_recrawl_period(corpus.size(), cfg),
+            hints.period());
   const sim::Time t = sim::hours(5);
   for (int p = 0; p < 4; ++p) {
-    const sim::Time at = fe.last_crawl(t, p);
+    const sim::Time at = hints.last_crawl(t, p);
     EXPECT_LE(at, t);
-    EXPECT_GT(at, t - fe.effective_recrawl_period() - sim::minutes(1));
-    EXPECT_EQ(fe.last_crawl(at, p), at) << "crawl time not a fixed point";
+    EXPECT_GT(at, t - hints.period() - sim::minutes(1));
+    EXPECT_EQ(hints.last_crawl(at, p), at) << "crawl time not a fixed point";
   }
+}
+
+// The model-level counts of a scripted serve sequence: bursts of 20 views
+// every 20 minutes over ~10 hours, cycling pages and device classes, with a
+// small cache and one generation worker so misses, hits, stale serves and
+// hintless serves all occur. The figures were recorded from the per-miss
+// generation path the snapshot table replaced; the table must reproduce
+// every one.
+TEST(FrontEnd, ScriptedServeSequencePinsModelCounts) {
+  const web::Corpus corpus = web::Corpus::smoke(42, 4);
+  deploy::FrontEndConfig cfg;
+  cfg.hint_cache_entries = 8;
+  cfg.gen_workers = 1;
+  const deploy::SnapshotHints hints = built_table(
+      corpus, cfg, {web::nexus6(), web::nexus5(), web::nexus10()});
+  deploy::FrontEnd fe(hints);
+  std::int64_t hint_sum = 0;
+  for (int i = 0; i < 600; ++i) {
+    const sim::Time now =
+        (i / 20) * sim::minutes(20) + (i % 20) * sim::ms(900);
+    const int page = (i * 7 + i / 5) % 4;
+    const auto device = static_cast<std::size_t>((i * 3 + i / 11) % 3);
+    hint_sum += fe.serve(now, page, device).hints;
+  }
+  const deploy::FrontEndStats& s = fe.stats();
+  EXPECT_EQ(s.serves, 600);
+  EXPECT_EQ(s.cache_hits, 380);
+  EXPECT_EQ(s.cache_misses, 220);
+  EXPECT_EQ(s.stale_serves, 25);
+  EXPECT_EQ(s.hintless_serves, 110);
+  EXPECT_EQ(s.generations, 245);
+  EXPECT_EQ(s.total_queue_wait, 20912000);
+  EXPECT_EQ(s.total_staleness, 826134600000);
+  EXPECT_EQ(hint_sum, 45083);
+}
+
+// The retired per-miss generation path, kept as the table's oracle: a fresh
+// crawl world, ReplayStore, VroomProvider and OfflineResolver for every
+// (page, snapshot, device), advised on the root document.
+int per_miss_hints(const web::Corpus& corpus, deploy::FrontEndConfig cfg,
+                   std::uint64_t seed, int page_index,
+                   const web::DeviceProfile& device, sim::Time crawl_t) {
+  cfg.provider.mode = core::ResolutionMode::OfflineOnly;
+  cfg.provider.hint_age = 0;
+  const web::PageModel& model =
+      corpus.page(static_cast<std::size_t>(page_index));
+  web::LoadIdentity id;
+  id.wall_time = cfg.day0 + crawl_t;
+  id.device = device;
+  id.user = 0;
+  id.nonce = sim::derive_seed(
+      sim::derive_seed(seed, "deploy:crawl"),
+      sim::derive_seed(static_cast<std::uint64_t>(model.page_id()),
+                       static_cast<std::uint64_t>(crawl_t)));
+  sim::PooledArena arena;
+  const web::PageInstance crawl(model, id, arena.get());
+  const server::ReplayStore store(crawl);
+  core::VroomProvider provider(store, cfg.provider);
+  http::Request root;
+  root.url = crawl.resource(0).url;
+  root.url_id = 0;
+  root.is_document = true;
+  root.priority = 100;
+  root.device = device;
+  return static_cast<int>(
+      provider.advise(model.first_party(), root).hints.hints.size());
+}
+
+TEST(SnapshotHints, EqualsPerMissProviderOnEverySnapshot) {
+  std::vector<web::DeviceProfile> devices;
+  for (const deploy::DeviceShare& share : deploy::default_device_mix()) {
+    devices.push_back(share.device);
+  }
+  const sim::Time window = sim::hours(24);
+  for (const web::Corpus& corpus : {web::Corpus::smoke(42, 4),
+                                    web::Corpus::mixed400_sample(42, 25)}) {
+    for (const core::DeviceHandling handling :
+         {core::DeviceHandling::Exact,
+          core::DeviceHandling::EquivalenceClasses,
+          core::DeviceHandling::SingleClass}) {
+      deploy::FrontEndConfig cfg;
+      cfg.provider.offline.device_handling = handling;
+      const deploy::SnapshotHints hints =
+          built_table(corpus, cfg, devices, window);
+      int compared = 0;
+      std::int64_t total = 0;
+      for (int p = 0; p < static_cast<int>(corpus.size()); ++p) {
+        for (sim::Time t = hints.last_crawl(0, p); t < window;
+             t += hints.period()) {
+          for (std::size_t d = 0; d < devices.size(); ++d) {
+            const int got = hints.hints(p, t, d);
+            ASSERT_EQ(got, per_miss_hints(corpus, cfg, 42, p, devices[d], t))
+                << corpus.name() << " page " << p << " crawl " << t
+                << " device " << devices[d].name << " handling "
+                << static_cast<int>(handling);
+            ++compared;
+            total += got;
+          }
+        }
+      }
+      EXPECT_GE(compared, static_cast<int>(corpus.size() * devices.size() *
+                                           (window / hints.period())));
+      EXPECT_GT(total, 0) << "no snapshot carried any hint";
+    }
+  }
+}
+
+TEST(SnapshotHintsDeathTest, LookupOutsideTheTableAbortsNamingPageAndTime) {
+  const web::Corpus corpus = web::Corpus::smoke(42, 2);
+  const deploy::FrontEndConfig cfg;
+  const sim::Time window = sim::hours(6);
+  const deploy::SnapshotHints hints =
+      built_table(corpus, cfg, {web::nexus6()}, window);
+  // A real snapshot of page 1, but past the window's end.
+  const sim::Time past = hints.last_crawl(window + hints.period(), 1);
+  ASSERT_GE(past, window);
+  EXPECT_DEATH((void)hints.hints(1, past, 0),
+               "no snapshot for page 1 at crawl time " +
+                   std::to_string(past) + " us");
+  // Inside the window, but not a crawl time.
+  const sim::Time off_grid = hints.last_crawl(sim::hours(2), 0) + 1;
+  EXPECT_DEATH((void)hints.hints(0, off_grid, 0),
+               "no snapshot for page 0 at crawl time " +
+                   std::to_string(off_grid) + " us");
+  // A front-end serving past the window fails the same way.
+  deploy::FrontEnd fe(hints);
+  EXPECT_DEATH((void)fe.serve(window + hints.period(), 1, 0),
+               "no snapshot for page 1 at crawl time");
+  // Rows are never resolved on demand: an unbuilt row is a hard error.
+  const deploy::SnapshotHints unbuilt(corpus, cfg, 42, {web::nexus6()},
+                                      window);
+  EXPECT_DEATH((void)unbuilt.hints(0, unbuilt.last_crawl(0, 0), 0),
+               "no snapshot for page 0 at crawl time -?[0-9]+ us.*unbuilt");
 }
 
 // The flagship contract: the whole report — fleet-built micro table, the
