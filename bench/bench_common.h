@@ -12,6 +12,7 @@
 // dispatch first.
 #pragma once
 
+#include <algorithm>
 #include <cstdio>
 #include <vector>
 
@@ -43,6 +44,20 @@ inline std::vector<harness::CorpusResult> run_plan(
   auto results = fleet::run_plan(plan, fo);
   telemetry.print(stderr);
   return results;
+}
+
+// The Figure 2 achievable lower bound, page by page: the larger of the
+// network-bound and CPU-bound values — the best a page-load redesign can do
+// without rewriting the page, if it fully uses at least one of the client's
+// two resources. Both series are in page order.
+inline std::vector<double> lower_bound_of(const std::vector<double>& network,
+                                          const std::vector<double>& cpu) {
+  std::vector<double> bound;
+  bound.reserve(network.size());
+  for (std::size_t i = 0; i < network.size(); ++i) {
+    bound.push_back(std::max(network[i], cpu[i]));
+  }
+  return bound;
 }
 
 inline void banner(const char* fig, const char* what) {

@@ -2,8 +2,6 @@
 // client's CPU or network. Series: network-bottleneck loads (all URLs known
 // up front, nothing evaluated), CPU-bottleneck loads (servers local, no
 // network delay), the per-page max of the two, and real loads (HTTP/1.1).
-#include <algorithm>
-
 #include "bench_common.h"
 
 int main() {
@@ -21,18 +19,14 @@ int main() {
   const auto& cpu = results[1];
   const auto& web_loads = results[2];
 
-  std::vector<double> bound;
   const auto net_s = network.plt_seconds();
   const auto cpu_s = cpu.plt_seconds();
-  bound.reserve(net_s.size());
-  for (std::size_t i = 0; i < net_s.size(); ++i) {
-    bound.push_back(std::max(net_s[i], cpu_s[i]));
-  }
 
   harness::print_cdf_table("Page Load Time", "seconds",
                            {{"Network Bottleneck", net_s},
                             {"CPU Bottleneck", cpu_s},
-                            {"Max(CPU, Network)", bound},
+                            {"Max(CPU, Network)",
+                             bench::lower_bound_of(net_s, cpu_s)},
                             {"Loads from Web", web_loads.plt_seconds()}});
   return 0;
 }

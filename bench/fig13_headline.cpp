@@ -2,8 +2,6 @@
 // CDFs for Lower Bound / Vroom / HTTP/2 Baseline / HTTP/1.1 over the News +
 // Sports corpus. Also prints the §6.1 extras: the Mixed-400 corpus medians
 // and the incremental-deployment (first-party-only) median.
-#include <algorithm>
-
 #include "bench_common.h"
 
 int main() {
@@ -35,19 +33,10 @@ int main() {
   const auto& mixed_h2 = results[6];
   const auto& mixed_vr = results[7];
 
-  auto bound_of = [&](auto getter) {
-    std::vector<double> out;
-    const auto a = getter(lb_net), b = getter(lb_cpu);
-    for (std::size_t i = 0; i < a.size(); ++i) {
-      out.push_back(std::max(a[i], b[i]));
-    }
-    return out;
-  };
-
   harness::print_cdf_table(
       "(a) Page Load Time", "seconds",
       {{"Lower Bound",
-        bound_of([](const harness::CorpusResult& r) { return r.plt_seconds(); })},
+        bench::lower_bound_of(lb_net.plt_seconds(), lb_cpu.plt_seconds())},
        {"Vroom", vr.plt_seconds()},
        {"HTTP/2 Baseline", h2.plt_seconds()},
        {"HTTP/1.1", h1.plt_seconds()}});
@@ -55,16 +44,16 @@ int main() {
   harness::print_cdf_table(
       "(b) Above-the-fold Time", "seconds",
       {{"Lower Bound",
-        bound_of([](const harness::CorpusResult& r) { return r.aft_seconds(); })},
+        bench::lower_bound_of(lb_net.aft_seconds(), lb_cpu.aft_seconds())},
        {"Vroom", vr.aft_seconds()},
        {"HTTP/2 Baseline", h2.aft_seconds()},
        {"HTTP/1.1", h1.aft_seconds()}});
 
   harness::print_cdf_table(
       "(c) Speed Index", "ms",
-      {{"Lower Bound", bound_of([](const harness::CorpusResult& r) {
-          return r.speed_indices();
-        })},
+      {{"Lower Bound",
+        bench::lower_bound_of(lb_net.speed_indices(),
+                              lb_cpu.speed_indices())},
        {"Vroom", vr.speed_indices()},
        {"HTTP/2 Baseline", h2.speed_indices()},
        {"HTTP/1.1", h1.speed_indices()}});

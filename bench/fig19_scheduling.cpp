@@ -15,17 +15,10 @@ int main() {
        baselines::vroom(), baselines::push_all_fetch_asap(),
        baselines::http2_baseline()},
       opt));
-  const auto& lb_net = results[0];
-  const auto& lb_cpu = results[1];
-  std::vector<double> bound;
-  for (std::size_t i = 0; i < lb_net.loads.size(); ++i) {
-    bound.push_back(std::max(sim::to_seconds(lb_net.loads[i].plt),
-                             sim::to_seconds(lb_cpu.loads[i].plt)));
-  }
-
   harness::print_quartile_bars(
       "Page Load Time", "seconds",
-      {{"Lower Bound", bound},
+      {{"Lower Bound", bench::lower_bound_of(results[0].plt_seconds(),
+                                             results[1].plt_seconds())},
        {results[2].strategy, results[2].plt_seconds()},
        {results[3].strategy, results[3].plt_seconds()},
        {"No Push, No Hints", results[4].plt_seconds()}});

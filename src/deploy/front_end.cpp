@@ -70,61 +70,55 @@ void SnapshotHints::build_row(int page_index) {
   const web::PageModel& model =
       corpus_.page(static_cast<std::size_t>(page_index));
   // One resolver for the whole row: its memo holds each snapshot's device
-  // clustering and crawl intersections, which every device class reuses.
+  // clustering and crawl intersections.
   const core::OfflineResolver offline(model, config_.provider.offline);
   const sim::Time first = last_crawl(0, page_index);
   const std::size_t snapshots = snapshot_count(page_index);
-  std::vector<int> row(snapshots * devices_.size(), 0);
+  std::vector<int> row(snapshots, 0);
   // A page whose root is not a document gets no advice: its row stays 0.
   const bool has_document =
       model.resource(0).type == web::ResourceType::Html;
   for (std::size_t k = 0; has_document && k < snapshots; ++k) {
     const sim::Time crawl_t = first + static_cast<sim::Time>(k) * period_;
-    // The crawl's load identity: wall time of the snapshot, the device
-    // class (the front-end emulates the client device, §4.1.2), no cookie,
-    // and a nonce derived from (seed, page, snapshot).
+    // The crawl's load identity: wall time of the snapshot, the first
+    // device class (the count is the same for every class, see the class
+    // comment), no cookie, and a nonce derived from (seed, page, snapshot).
     web::LoadIdentity id;
     id.wall_time = config_.day0 + crawl_t;
+    id.device = devices_.front();
     id.user = 0;
     id.nonce = sim::derive_seed(
         sim::derive_seed(seed_, "deploy:crawl"),
         sim::derive_seed(static_cast<std::uint64_t>(model.page_id()),
                          static_cast<std::uint64_t>(crawl_t)));
-    for (std::size_t d = 0; d < devices_.size(); ++d) {
-      id.device = devices_[d];
-      // Crawl world on the pooled per-thread arena: built, advised on, and
-      // discarded — the same per-load lifetime as a live load's world.
-      sim::PooledArena arena;
-      const web::PageInstance crawl(model, id, arena.get());
-      row[k * devices_.size() + d] = static_cast<int>(
-          core::advise_document(crawl, 0, model.first_party(), 0,
-                                config_.provider, offline)
-              .hints.hints.size());
-    }
+    // Crawl world on the pooled per-thread arena: built, advised on, and
+    // discarded — the same per-load lifetime as a live load's world.
+    sim::PooledArena arena;
+    const web::PageInstance crawl(model, id, arena.get());
+    row[k] = static_cast<int>(
+        core::advise_document(crawl, 0, model.first_party(), 0,
+                              config_.provider, offline)
+            .hints.hints.size());
   }
   rows_[static_cast<std::size_t>(page_index)] = std::move(row);
 }
 
-int SnapshotHints::hints(int page_index, sim::Time crawl_t,
-                         std::size_t device_class) const {
+int SnapshotHints::hints(int page_index, sim::Time crawl_t) const {
   const bool page_known =
       page_index >= 0 && static_cast<std::size_t>(page_index) < rows_.size();
-  if (page_known && device_class < devices_.size()) {
+  if (page_known) {
     const std::vector<int>& row = rows_[static_cast<std::size_t>(page_index)];
     const sim::Time offset = crawl_t - last_crawl(0, page_index);
     if (offset >= 0 && offset % period_ == 0) {
-      const std::size_t slot =
-          static_cast<std::size_t>(offset / period_) * devices_.size() +
-          device_class;
+      const auto slot = static_cast<std::size_t>(offset / period_);
       if (slot < row.size()) return row[slot];
     }
   }
   std::fprintf(stderr,
                "[deploy] fatal: SnapshotHints has no snapshot for page %d at "
-               "crawl time %lld us, device class %zu (window %lld us, %zu "
-               "device classes, row %s)\n",
-               page_index, static_cast<long long>(crawl_t), device_class,
-               static_cast<long long>(window_), devices_.size(),
+               "crawl time %lld us (window %lld us, row %s)\n",
+               page_index, static_cast<long long>(crawl_t),
+               static_cast<long long>(window_),
                !page_known ? "out of range"
                : rows_[static_cast<std::size_t>(page_index)].empty()
                    ? "unbuilt"
@@ -138,10 +132,9 @@ FrontEnd::FrontEnd(const SnapshotHints& hints)
       static_cast<std::size_t>(std::max(1, config_.gen_workers)), 0);
 }
 
-int FrontEnd::generate(int page_index, std::size_t device_class,
-                       sim::Time crawl_t) {
+int FrontEnd::generate(int page_index, sim::Time crawl_t) {
   ++stats_.generations;
-  return hints_.hints(page_index, crawl_t, device_class);
+  return hints_.hints(page_index, crawl_t);
 }
 
 sim::Time FrontEnd::charge_worker(sim::Time now, sim::Time cost) {
@@ -216,7 +209,7 @@ ServeDecision FrontEnd::serve(sim::Time now, int page_index,
       // deployment report prices.
       d.source = HintSource::Stale;
       ++stats_.stale_serves;
-      const int hints = generate(page_index, device_class, snapshot);
+      const int hints = generate(page_index, snapshot);
       charge_worker(now, config_.gen_base_cost +
                              static_cast<sim::Time>(hints) *
                                  config_.gen_per_hint_cost);
@@ -245,7 +238,7 @@ ServeDecision FrontEnd::serve(sim::Time now, int page_index,
       ++stats_.hintless_serves;
       trace_serve("fe.cache_miss", d);
     } else {
-      const int hints = generate(page_index, device_class, snapshot);
+      const int hints = generate(page_index, snapshot);
       const sim::Time cost = config_.gen_base_cost +
                              static_cast<sim::Time>(hints) *
                                  config_.gen_per_hint_cost;

@@ -16,12 +16,12 @@
 // FrontEnd models all three deterministically. The hints it serves are the
 // real advice for the crawl-time instance (core::advise_document, the same
 // path core::VroomProvider takes), not a constant. A generation's outcome
-// is a pure function of (page, snapshot, device class), so one
-// SnapshotHints table resolves every snapshot of the traffic window once,
-// and any number of front-ends read it; the model still performs, counts
-// and charges every generation. The deployment scenario prices the
-// resulting staleness through the hint_age micro benchmarks (see
-// scenario.h).
+// is a pure function of (page, snapshot), so one SnapshotHints table
+// resolves every snapshot of the traffic window once, and any number of
+// front-ends read it; the model still performs, counts and charges every
+// generation, per (page, device rendering class) cache entry. The
+// deployment scenario prices the resulting staleness through the hint_age
+// micro benchmarks (see scenario.h).
 #pragma once
 
 #include <cstddef>
@@ -72,13 +72,18 @@ sim::Time effective_recrawl_period(std::size_t pages,
                                    const FrontEndConfig& config);
 
 // The hint count of every crawl snapshot a front-end can serve in a
-// traffic window: for each page, each snapshot time
-// last_crawl(0, page) + k * period below `window`, and each device class,
-// the size of the advice core::advise_document resolves from that
-// snapshot's crawl instance. Each page's row is resolved with one
-// core::OfflineResolver shared by all of its snapshots and device classes,
-// so device clustering and crawl intersections run once per
-// (page, snapshot).
+// traffic window: for each page and each snapshot time
+// last_crawl(0, page) + k * period below `window`, the size of the advice
+// core::advise_document resolves from that snapshot's crawl instance. Each
+// page's row is resolved with one core::OfflineResolver shared by all of
+// its snapshots.
+//
+// The count does not depend on the device class: a device changes only
+// the variant bits of a slot's realized version, never whether the crawls
+// agree on it, and scope, stable-set membership and the push choice are
+// device-free. So every snapshot is crawled once, as device class 0
+// (DESIGN.md §11); the device classes stay in the table only to key the
+// front-end's hint cache by rendering class.
 //
 // Rows are independent: build_row(p) writes row p only, so distinct rows
 // may be built concurrently. Once every row is built the table is
@@ -86,20 +91,20 @@ sim::Time effective_recrawl_period(std::size_t pages,
 class SnapshotHints {
  public:
   // An empty table. `corpus` must outlive it; `seed` feeds the crawl
-  // nonces only; device class i is `devices[i]`.
+  // nonces only; device class i is `devices[i]`, and there is at least
+  // one.
   SnapshotHints(const web::Corpus& corpus, FrontEndConfig config,
                 std::uint64_t seed, std::vector<web::DeviceProfile> devices,
                 sim::Time window);
 
-  // Resolves every snapshot of page `page_index` for every device class.
+  // Resolves every snapshot of page `page_index`.
   void build_row(int page_index);
 
-  // Hint count of the snapshot at crawl time `crawl_t` for device class
-  // `device_class`. Aborts, naming the page and crawl time, when the row is
-  // unbuilt or `crawl_t` is not one of the window's snapshots: there is no
+  // Hint count of the snapshot at crawl time `crawl_t`, for any device
+  // class. Aborts, naming the page and crawl time, when the row is unbuilt
+  // or `crawl_t` is not one of the window's snapshots: there is no
   // on-demand fallback.
-  int hints(int page_index, sim::Time crawl_t,
-            std::size_t device_class) const;
+  int hints(int page_index, sim::Time crawl_t) const;
 
   // Virtual time of the latest completed crawl of `page_index` at `now`.
   // May be negative: the crawler has been cycling since before the window.
@@ -123,8 +128,7 @@ class SnapshotHints {
   std::vector<web::DeviceProfile> devices_;
   sim::Time window_;
   sim::Time period_;
-  // rows_[page][snapshot * devices_.size() + device_class]; empty =
-  // unbuilt.
+  // rows_[page][snapshot]; empty = unbuilt.
   std::vector<std::vector<int>> rows_;
 };
 
@@ -191,12 +195,12 @@ class FrontEnd {
     int hints = 0;
   };
 
-  // One hint generation for (page, device class) from the snapshot at
-  // `crawl_t`: the expensive step the cache and the worker pool exist to
-  // amortize. The model performs and counts every one (callers charge the
-  // worker pool per call); the simulator reads the resolved count from the
-  // shared table.
-  int generate(int page_index, std::size_t device_class, sim::Time crawl_t);
+  // One hint generation for a (page, device class) cache entry from the
+  // snapshot at `crawl_t`: the expensive step the cache and the worker pool
+  // exist to amortize. The model performs and counts every one (callers
+  // charge the worker pool per call); the simulator reads the resolved
+  // count from the shared table.
+  int generate(int page_index, sim::Time crawl_t);
 
   // Charges one generation to the least-busy worker; returns the queueing
   // delay before it could start.

@@ -1,14 +1,14 @@
 #include "fleet/fleet.h"
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
-#include <optional>
 #include <thread>
+#include <tuple>
 #include <utility>
 
-#include "fleet/job_queue.h"
 #include "harness/env.h"
 #include "harness/export.h"
 #include "obs/manifest.h"
@@ -31,101 +31,13 @@ int hardware_workers() {
   return hw > 0 ? static_cast<int>(hw) : 1;
 }
 
-// Opt-in live progress line (VROOM_PROGRESS=1): workers redraw a single
-// stderr line — `\r`, no newline — at most every 500 ms; a CAS on the
-// next-redraw deadline elects one worker per window, so the line never
-// interleaves. Goes to stderr so stdout stays byte-identical. finish()
-// prints the terminating newline.
-class ProgressTicker {
- public:
-  ProgressTicker(const JobQueue& queue, const Telemetry& telemetry,
-                 bool enabled)
-      : queue_(queue), telemetry_(telemetry), start_(monotonic_seconds()),
-        enabled_(enabled) {}
-
-  void tick() {
-    if (!enabled_) return;
-    const double now = monotonic_seconds();
-    double deadline = next_redraw_.load(std::memory_order_relaxed);
-    if (now < deadline ||
-        !next_redraw_.compare_exchange_strong(deadline, now + 0.5,
-                                              std::memory_order_relaxed)) {
-      return;
-    }
-    const std::size_t done = telemetry_.jobs_completed();
-    const std::size_t total = queue_.size();
-    const double elapsed = now - start_;
-    const double rate =
-        elapsed > 0 ? static_cast<double>(done) / elapsed : 0.0;
-    // ETA from the running rate; "--" until the first job lands.
-    char eta[32];
-    if (rate > 0 && done <= total) {
-      const double left = static_cast<double>(total - done) / rate;
-      if (left >= 3600) {
-        std::snprintf(eta, sizeof eta, "%.1fh", left / 3600);
-      } else if (left >= 60) {
-        std::snprintf(eta, sizeof eta, "%.1fm", left / 60);
-      } else {
-        std::snprintf(eta, sizeof eta, "%.0fs", left);
-      }
-    } else {
-      std::snprintf(eta, sizeof eta, "--");
-    }
-    // Trailing spaces scrub leftovers when this line is shorter than the
-    // previous redraw.
-    std::fprintf(stderr,
-                 "\r[fleet] %zu/%zu jobs (%zu unclaimed), %.1f jobs/s, "
-                 "ETA %s   ",
-                 done, total, queue_.remaining(), rate, eta);
-    std::fflush(stderr);
-    printed_ = true;
-  }
-
-  // Call after the pool joins: replaces the partial line with the final
-  // count and ends it with a newline.
-  void finish() {
-    if (!enabled_ || !printed_) return;
-    std::fprintf(stderr,
-                 "\r[fleet] %zu/%zu jobs done"
-                 "                                                  \n",
-                 telemetry_.jobs_completed(), queue_.size());
-  }
-
- private:
-  const JobQueue& queue_;
-  const Telemetry& telemetry_;
-  double start_;
-  bool enabled_ = false;
-  std::atomic<bool> printed_{false};
-  std::atomic<double> next_redraw_{0};
-};
-
 // One plan cell, compiled: page/load extents, the flat-grid slot offset and
 // the resolved display label.
 struct CompiledCell {
-  int pages = 0;
-  int loads = 0;
+  CellExtent extent;
   std::size_t slot_offset = 0;
   std::string label;
 };
-
-// Per-job metric recording (DESIGN.md §12). Job totals and the summed
-// virtual time are commutative adds, so the virtual-plane export is
-// byte-identical at any VROOM_JOBS; the job wall-time distribution is
-// nondeterministic by nature and goes to the wall sidecar.
-void record_job_metrics(const browser::LoadResult& result,
-                        double wall_seconds) {
-  if (!obs::metrics_enabled()) return;
-  static obs::Counter& completed =
-      obs::registry().counter("fleet.jobs.completed");
-  static obs::Counter& virtual_us =
-      obs::registry().counter("fleet.sim.virtual_us");
-  static obs::Histogram& wall_us =
-      obs::registry().histogram("fleet.jobs.wall_us", obs::Plane::Wall);
-  completed.add();
-  virtual_us.add(result.plt);
-  wall_us.record(static_cast<std::int64_t>(wall_seconds * 1e6));
-}
 
 // The sweep-acceleration variables were removed; say so once per plan
 // rather than let a stale script believe it is caching or sharding.
@@ -162,7 +74,7 @@ void run_tasks(std::size_t count, const std::function<void(std::size_t)>& fn,
   }
   if (resolved <= 1) {
     // Serial path: index order on the calling thread (VROOM_JOBS=1 replays
-    // the serial visit order, mirroring run_plan's one-worker mode).
+    // the serial visit order).
     for (std::size_t i = 0; i < count; ++i) fn(i);
     return;
   }
@@ -177,6 +89,40 @@ void run_tasks(std::size_t count, const std::function<void(std::size_t)>& fn,
   pool.reserve(static_cast<std::size_t>(resolved));
   for (int w = 0; w < resolved; ++w) pool.emplace_back(worker);
   for (std::thread& t : pool) t.join();
+}
+
+std::vector<Job> serial_job_order(const std::vector<CellExtent>& cells) {
+  std::vector<Job> jobs;
+  for (std::size_t c = 0; c < cells.size(); ++c) {
+    for (int p = 0; p < cells[c].pages; ++p) {
+      for (int l = 0; l < cells[c].loads; ++l) {
+        jobs.push_back(Job{static_cast<int>(c), p, l});
+      }
+    }
+  }
+  return jobs;
+}
+
+std::vector<Job> order_longest_first(
+    std::vector<Job> jobs,
+    const std::function<std::size_t(const Job&)>& size_of) {
+  // Sizes are looked up once per job, not once per comparison: size_of may
+  // walk corpus pages, and comparator calls are O(n log n).
+  std::vector<std::size_t> size(jobs.size());
+  for (std::size_t i = 0; i < jobs.size(); ++i) size[i] = size_of(jobs[i]);
+  std::vector<std::size_t> order(jobs.size());
+  for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
+  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
+    if (size[a] != size[b]) return size[a] > size[b];
+    return std::tuple(jobs[a].cell_index, jobs[a].page_index,
+                      jobs[a].load_index) <
+           std::tuple(jobs[b].cell_index, jobs[b].page_index,
+                      jobs[b].load_index);
+  });
+  std::vector<Job> out;
+  out.reserve(jobs.size());
+  for (std::size_t i : order) out.push_back(jobs[i]);
+  return out;
 }
 
 std::vector<harness::CorpusResult> run_plan(const SweepPlan& plan,
@@ -197,31 +143,27 @@ std::vector<harness::CorpusResult> run_plan(const SweepPlan& plan,
   // Compile the plan: per-cell extents and flat result-grid offsets. Each
   // cell may bring its own loads_per_page / options, so offsets accumulate.
   std::vector<CompiledCell> cells(static_cast<std::size_t>(n_cells));
+  std::vector<CellExtent> extents;
+  std::vector<CellPlan> cell_plans;
   std::size_t total_jobs = 0;
   bool any_warm_cache = false;
   for (int c = 0; c < n_cells; ++c) {
     const SweepCell& cell = plan.cells[static_cast<std::size_t>(c)];
     CompiledCell& cc = cells[static_cast<std::size_t>(c)];
-    cc.pages = env.effective_page_count(
+    cc.extent.pages = env.effective_page_count(
         static_cast<int>(cell.corpus->size()));
-    cc.loads = cell.options.loads_per_page;
+    cc.extent.loads = cell.options.loads_per_page;
     cc.slot_offset = total_jobs;
     cc.label = cell.label.empty() ? cell.strategy.name : cell.label;
-    total_jobs += static_cast<std::size_t>(cc.pages) *
-                  static_cast<std::size_t>(cc.loads);
+    const std::size_t jobs = static_cast<std::size_t>(cc.extent.pages) *
+                             static_cast<std::size_t>(cc.extent.loads);
+    total_jobs += jobs;
     any_warm_cache |= cell.options.cache != nullptr;
+    extents.push_back(cc.extent);
+    cell_plans.push_back(CellPlan{cc.label, jobs});
   }
-
   // The flat job list, first in serial (cell, page, load) visit order.
-  std::vector<Job> jobs;
-  jobs.reserve(total_jobs);
-  for (int c = 0; c < n_cells; ++c) {
-    for (int p = 0; p < cells[static_cast<std::size_t>(c)].pages; ++p) {
-      for (int l = 0; l < cells[static_cast<std::size_t>(c)].loads; ++l) {
-        jobs.push_back(Job{c, p, l});
-      }
-    }
-  }
+  std::vector<Job> jobs = serial_job_order(extents);
 
   int workers = resolve_worker_count(fleet.workers, env);
   // A shared warm cache is mutated in load order; parallel execution would
@@ -247,83 +189,50 @@ std::vector<harness::CorpusResult> run_plan(const SweepPlan& plan,
               .size();
         });
   }
-  JobQueue queue(std::move(jobs));
 
-  Telemetry local_telemetry;
-  Telemetry* telemetry =
-      fleet.telemetry != nullptr ? fleet.telemetry : &local_telemetry;
-  std::vector<Telemetry::CellPlan> cell_plans;
-  cell_plans.reserve(static_cast<std::size_t>(n_cells));
-  for (const CompiledCell& cc : cells) {
-    cell_plans.push_back(Telemetry::CellPlan{
-        cc.label, static_cast<std::size_t>(cc.pages) *
-                      static_cast<std::size_t>(cc.loads)});
-  }
-  telemetry->begin_run(workers, queue.size(), std::move(cell_plans));
-  if (env.metrics_enabled()) {
-    obs::registry()
-        .gauge("fleet.run.workers", obs::Plane::Wall)
-        .set_max(workers);
-  }
-  ProgressTicker ticker(queue, *telemetry, env.progress);
-
-  // Flat result grid, one pre-assigned slot per job: workers never write to
+  // Flat result grid, one pre-assigned slot per job, and the per-job
+  // telemetry table indexed like `jobs`: workers never write to
   // overlapping memory, and claim order cannot affect where results land.
   std::vector<browser::LoadResult> grid(total_jobs);
+  std::vector<JobRecord> records(total_jobs);
   auto slot = [&cells](const Job& job) -> std::size_t {
     const CompiledCell& cc = cells[static_cast<std::size_t>(job.cell_index)];
     return cc.slot_offset +
            static_cast<std::size_t>(job.page_index) *
-               static_cast<std::size_t>(cc.loads) +
+               static_cast<std::size_t>(cc.extent.loads) +
            static_cast<std::size_t>(job.load_index);
   };
 
-  auto worker_loop = [&](int worker_id) {
-    while (std::optional<Job> job = queue.pop()) {
-      telemetry->job_started(worker_id);
-      const double started = monotonic_seconds();
-      const SweepCell& cell =
-          plan.cells[static_cast<std::size_t>(job->cell_index)];
-      const web::PageModel& page =
-          cell.corpus->page(static_cast<std::size_t>(job->page_index));
-      // Seed derivation matches harness::run_page_median exactly: the nonce
-      // depends only on (seed, page id, load index).
-      const std::uint64_t nonce = harness::derive_load_nonce(
-          cell.options.seed, page.page_id(), job->load_index);
-      browser::LoadResult result =
-          harness::run_page_load(page, cell.strategy, cell.options, nonce);
-      const double job_seconds = monotonic_seconds() - started;
-      record_job_metrics(result, job_seconds);
-      const sim::Time simulated = result.plt;
-      grid[slot(*job)] = std::move(result);
-      telemetry->job_finished(worker_id, job->cell_index, job_seconds,
-                              simulated);
-      ticker.tick();
-    }
-  };
-
-  if (workers == 1) {
-    // Serial path: drain the queue on the calling thread in grid order —
-    // cell-major then page-major then load-major, the exact visit order of
-    // the historical serial sweep.
-    worker_loop(0);
-  } else {
-    std::vector<std::thread> pool;
-    pool.reserve(static_cast<std::size_t>(workers));
-    for (int w = 0; w < workers; ++w) {
-      pool.emplace_back(worker_loop, w);
-    }
-    for (std::thread& t : pool) t.join();
-  }
-  telemetry->end_run();
-  ticker.finish();
+  const double pool_started = monotonic_seconds();
+  run_tasks(
+      jobs.size(),
+      [&](std::size_t i) {
+        const Job& job = jobs[i];
+        const double started = monotonic_seconds();
+        const SweepCell& cell =
+            plan.cells[static_cast<std::size_t>(job.cell_index)];
+        const web::PageModel& page =
+            cell.corpus->page(static_cast<std::size_t>(job.page_index));
+        // Seed derivation matches harness::run_page_median exactly: the
+        // nonce depends only on (seed, page id, load index).
+        const std::uint64_t nonce = harness::derive_load_nonce(
+            cell.options.seed, page.page_id(), job.load_index);
+        browser::LoadResult result =
+            harness::run_page_load(page, cell.strategy, cell.options, nonce);
+        records[i] = JobRecord{job.cell_index,
+                               monotonic_seconds() - started, result.plt};
+        grid[slot(job)] = std::move(result);
+      },
+      workers);
+  const TelemetrySummary summary = summarize(
+      workers, monotonic_seconds() - pool_started, cell_plans, records);
+  if (fleet.telemetry != nullptr) fleet.telemetry->set_summary(summary);
   if (env.profile) {
     // Collected after the pool joins: every worker's thread-local table has
     // folded into the retired aggregate, so the table partitions the run's
     // whole worker time. Stderr only — stdout stays frozen.
-    std::fputs(obs::format_phase_profile(
-                   obs::collect_phase_profile(),
-                   telemetry->summary().busy_seconds_total)
+    std::fputs(obs::format_phase_profile(obs::collect_phase_profile(),
+                                         summary.busy_seconds_total)
                    .c_str(),
                stderr);
   }
@@ -342,7 +251,6 @@ std::vector<harness::CorpusResult> run_plan(const SweepPlan& plan,
     manifest.set("env.out_dir", env.out_dir);
     manifest.set("env.metrics", env.metrics_dir);
     manifest.set("env.profile", std::int64_t{env.profile ? 1 : 0});
-    manifest.set("env.progress", std::int64_t{env.progress ? 1 : 0});
     manifest.set("env.deploy_arrivals",
                  static_cast<std::int64_t>(env.deploy_arrivals));
     manifest.set("env.deploy_window_hours",
@@ -358,8 +266,10 @@ std::vector<harness::CorpusResult> run_plan(const SweepPlan& plan,
       manifest.set(prefix + "fingerprint", cell.strategy.fingerprint());
       manifest.set(prefix + "seed",
                    static_cast<std::uint64_t>(cell.options.seed));
-      manifest.set(prefix + "pages", static_cast<std::int64_t>(cc.pages));
-      manifest.set(prefix + "loads", static_cast<std::int64_t>(cc.loads));
+      manifest.set(prefix + "pages",
+                   static_cast<std::int64_t>(cc.extent.pages));
+      manifest.set(prefix + "loads",
+                   static_cast<std::int64_t>(cc.extent.loads));
     }
     manifest.set("digest.metrics_prom",
                  sim::hex64(obs::registry().digest(obs::Plane::Virtual)));
@@ -376,11 +286,11 @@ std::vector<harness::CorpusResult> run_plan(const SweepPlan& plan,
     const CompiledCell& cc = cells[static_cast<std::size_t>(c)];
     auto& out = results[static_cast<std::size_t>(c)];
     out.strategy = cc.label;
-    out.loads.reserve(static_cast<std::size_t>(cc.pages));
-    for (int p = 0; p < cc.pages; ++p) {
+    out.loads.reserve(static_cast<std::size_t>(cc.extent.pages));
+    for (int p = 0; p < cc.extent.pages; ++p) {
       std::vector<browser::LoadResult> runs;
-      runs.reserve(static_cast<std::size_t>(cc.loads));
-      for (int l = 0; l < cc.loads; ++l) {
+      runs.reserve(static_cast<std::size_t>(cc.extent.loads));
+      for (int l = 0; l < cc.extent.loads; ++l) {
         runs.push_back(std::move(grid[slot(Job{c, p, l})]));
       }
       out.loads.push_back(harness::select_median_load(std::move(runs)));

@@ -2,24 +2,24 @@
 //
 // The entry point is declarative: a `SweepPlan` lists (corpus × strategy ×
 // options) *cells*, and `run_plan` compiles the whole plan into one flat
-// (cell, page, load) job list executed by a single shared pool — so a
-// multi-corpus bench grid (the paper's Fig 13/21 evaluation shape) never
-// pays one straggling pool tail per corpus. It is the only way to run a
-// sweep: benches, examples and tests all build a plan.
+// (cell, page, load) job list executed on the fleet's one worker pool,
+// `run_tasks` — so a multi-corpus bench grid (the paper's Fig 13/21
+// evaluation shape) never pays one straggling pool tail per corpus. It is
+// the only way to run a sweep: benches, examples and tests all build a plan.
 //
 // Every job builds a fully private simulation world (event loop, network,
 // page instance, servers, browser) exactly as the serial harness does, and
 // derives its seeds purely from the job's identity — (cell options' seed,
-// page id, load index) — never from execution order. The determinism
-// contract: plan output is bit-identical, cell by cell, to a serial
-// harness::run_page_median over each page for any worker count.
-// `VROOM_JOBS=1` additionally preserves the serial execution *order*, not
-// just its results.
+// page id, load index) — never from execution order, and writes into a
+// pre-assigned result slot. The determinism contract: plan output is
+// bit-identical, cell by cell, to a serial harness::run_page_median over
+// each page for any worker count. `VROOM_JOBS=1` additionally preserves
+// the serial execution *order*, not just its results.
 //
 // With more than one worker, jobs dispatch in deterministic
 // longest-job-first order (page resource count as the size proxy, ties by
-// job identity — see job_queue.h) instead of FIFO, so the heaviest pages
-// cannot land last and leave the pool idling behind one straggler.
+// job identity — see order_longest_first) instead of FIFO, so the heaviest
+// pages cannot land last and leave the pool idling behind one straggler.
 // Dispatch order never affects results, only wall-clock time.
 //
 // Warm-cache cells (RunOptions::cache != nullptr) share one mutable cache
@@ -54,17 +54,46 @@ struct FleetOptions {
 int resolve_worker_count(int requested, const harness::Env& env);
 int resolve_worker_count(int requested);
 
-// Reusable pool entry point beneath run_plan's sweep machinery: runs
-// `count` independent tasks `fn(0) .. fn(count-1)` on `workers` threads
-// (0 = resolve like run_plan: VROOM_JOBS, else hardware), claiming indices
-// from one atomic cursor. With one worker — or one task — the tasks run in
-// index order on the calling thread, the VROOM_JOBS=1 serial-replay mode.
-// The caller owns the fleet determinism contract: tasks must be mutually
-// independent (disjoint output slots, no claim-order-dependent state), so
-// results cannot depend on the worker count. Used by the deployment
-// scenario for its warm-revisit column and per-level macro passes.
+// The fleet's one worker pool: runs `count` independent tasks
+// `fn(0) .. fn(count-1)` on `workers` threads (0 = resolve: VROOM_JOBS,
+// else hardware), claiming indices from one atomic cursor. With one worker
+// — or one task — the tasks run in index order on the calling thread, the
+// VROOM_JOBS=1 serial-replay mode. The caller owns the fleet determinism
+// contract: tasks must be mutually independent (disjoint output slots, no
+// claim-order-dependent state), so results cannot depend on the worker
+// count. run_plan runs every sweep on it, and the deployment scenario its
+// warm-revisit column and macro passes.
 void run_tasks(std::size_t count, const std::function<void(std::size_t)>& fn,
                int workers = 0);
+
+// One unit of sweep work: a single load of a single page under a single
+// plan cell. The indices derive its seed and address its result slot.
+struct Job {
+  int cell_index = 0;
+  int page_index = 0;
+  int load_index = 0;
+};
+
+// A compiled cell's extent: pages swept and loads per page.
+struct CellExtent {
+  int pages = 0;
+  int loads = 0;
+};
+
+// Every job of cells with these extents, in the serial visit order:
+// cell-major, then page, then load. run_plan compiles each plan into this
+// list, and one worker runs it in this order.
+std::vector<Job> serial_job_order(const std::vector<CellExtent>& cells);
+
+// Deterministic longest-job-first dispatch order: sorts jobs by descending
+// `size_of(job)` (the caller's size proxy — the fleet uses the page's
+// resource count), with ties broken by job identity (cell, then page, then
+// load, ascending). The result is a pure function of the job set and the
+// size proxy — independent of the input order, the worker count, and any
+// prior run — so reordering can never make results irreproducible.
+std::vector<Job> order_longest_first(
+    std::vector<Job> jobs,
+    const std::function<std::size_t(const Job&)>& size_of);
 
 // One cell of a sweep: a full corpus swept under one strategy with its own
 // RunOptions. Cells are independent — different corpora, seeds, networks,
@@ -105,7 +134,7 @@ struct SweepPlan {
   }
 };
 
-// Executes every cell of the plan on one shared worker pool and returns one
+// Executes every cell of the plan on the worker pool and returns one
 // CorpusResult per cell, in plan order: one median-of-N load per page, in
 // page order, bit-identical at any worker count. The telemetry summary
 // carries one row per cell. VROOM_RESULT_CACHE, VROOM_SHARD and

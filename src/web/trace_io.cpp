@@ -3,9 +3,12 @@
 #include <charconv>
 #include <cmath>
 #include <map>
+#include <set>
 #include <sstream>
 #include <type_traits>
 #include <vector>
+
+#include "web/device.h"
 
 namespace vroom::web {
 namespace {
@@ -53,16 +56,46 @@ std::optional<PageClass> class_from(const std::string& s) {
   return std::nullopt;
 }
 
-// Splits "key=value key=value ..." tokens of one line.
-std::map<std::string, std::string> parse_fields(std::istringstream& line) {
-  std::map<std::string, std::string> out;
+// Splits "key=value key=value ..." tokens of one line into `out`. Tokens
+// without '=' are ignored, so hand-written traces may carry bare notes.
+// Returns the first key given twice, or an empty string: a repeated key is
+// ambiguous, and the caller rejects the line.
+std::string parse_fields(std::istringstream& line,
+                         std::map<std::string, std::string>& out) {
   std::string token;
   while (line >> token) {
     const std::size_t eq = token.find('=');
     if (eq == std::string::npos) continue;
-    out[token.substr(0, eq)] = token.substr(eq + 1);
+    std::string key = token.substr(0, eq);
+    if (!out.emplace(key, token.substr(eq + 1)).second) return key;
   }
-  return out;
+  return {};
+}
+
+// Splits a comma-separated list value. Returns nullopt when any item is
+// empty ("a,,b", "a,", ",a"): an empty domain or flag is never meant.
+std::optional<std::vector<std::string>> split_list(const std::string& s) {
+  std::vector<std::string> items;
+  std::size_t start = 0;
+  while (true) {
+    const std::size_t comma = s.find(',', start);
+    const std::size_t end = comma == std::string::npos ? s.size() : comma;
+    if (end == start) return std::nullopt;
+    items.push_back(s.substr(start, end - start));
+    if (comma == std::string::npos) return items;
+    start = comma + 1;
+  }
+}
+
+// The fields each record kind may carry; anything else is a typo.
+const std::set<std::string>& known_fields(const std::string& kind) {
+  static const std::set<std::string> page = {"id", "class", "first_party",
+                                             "shards"};
+  static const std::set<std::string> res = {
+      "id", "parent", "type", "via", "off", "size", "domain", "vol",
+      "period", "phase", "max_age", "weight", "device_axis",
+      "page_override", "flags"};
+  return kind == "page" ? page : res;
 }
 
 template <typename T>
@@ -161,8 +194,20 @@ std::optional<PageModel> page_from_trace(const std::string& text,
     std::istringstream ls(line);
     std::string kind;
     ls >> kind;
-    auto fields = parse_fields(ls);
     const std::string at = " (line " + std::to_string(line_no) + ")";
+    if (kind != "page" && kind != "res") {
+      return fail("unknown record '" + kind + "'" + at);
+    }
+    std::map<std::string, std::string> fields;
+    if (const std::string dup = parse_fields(ls, fields); !dup.empty()) {
+      return fail(kind + ": repeated field '" + dup + "'" + at);
+    }
+    for (const auto& [key, value] : fields) {
+      if (known_fields(kind).count(key) == 0) {
+        return fail(kind + ": unknown field '" + key + "'" + at);
+      }
+      if (value.empty()) return fail(kind + ": empty " + key + at);
+    }
 
     if (kind == "page") {
       std::uint32_t id = 0;
@@ -173,13 +218,14 @@ std::optional<PageModel> page_from_trace(const std::string& text,
       if (fp == fields.end()) return fail("page: missing first_party" + at);
       page.emplace(id, *cls, fp->second);
       if (auto sh = fields.find("shards"); sh != fields.end()) {
-        std::istringstream ss(sh->second);
-        std::string dom;
-        while (std::getline(ss, dom, ',')) page->add_first_party_domain(dom);
+        const auto shards = split_list(sh->second);
+        if (!shards) return fail("page: empty shard" + at);
+        for (const std::string& dom : *shards) {
+          page->add_first_party_domain(dom);
+        }
       }
       continue;
     }
-    if (kind != "res") return fail("unknown record '" + kind + "'" + at);
     if (!page) return fail("res before page header" + at);
 
     Resource r;
@@ -206,19 +252,42 @@ std::optional<PageModel> page_from_trace(const std::string& text,
     auto vol = volatility_from(fields.count("vol") ? fields.at("vol") : "");
     if (!vol) return fail("res: bad vol" + at);
     r.volatility = *vol;
-    get_num(fields, "period", r.rotation_period);
-    get_num(fields, "phase", r.rotation_phase);
-    get_num(fields, "max_age", r.max_age);
-    get_num(fields, "weight", r.visual_weight);
-    int axis = -1;
-    if (get_num(fields, "device_axis", axis)) {
+    // The writer always emits period and phase; a trace without them lost
+    // them, and their defaults would silently stand in.
+    if (!get_num(fields, "period", r.rotation_period)) {
+      return fail("res: bad period" + at);
+    }
+    if (!get_num(fields, "phase", r.rotation_phase)) {
+      return fail("res: bad phase" + at);
+    }
+    // Optional fields: absent keeps the default, present must parse and
+    // hold a value the writer would emit (it omits every default).
+    if (fields.count("max_age") &&
+        (!get_num(fields, "max_age", r.max_age) || r.max_age <= 0)) {
+      return fail("res: bad max_age" + at);
+    }
+    if (fields.count("weight") &&
+        (!get_num(fields, "weight", r.visual_weight) ||
+         r.visual_weight <= 0)) {
+      return fail("res: bad weight" + at);
+    }
+    if (fields.count("device_axis")) {
+      int axis = -1;
+      if (!get_num(fields, "device_axis", axis) || axis < 0 ||
+          axis >= kNumDeviceAxes) {
+        return fail("res: bad device_axis" + at);
+      }
       r.device_axis = static_cast<std::int8_t>(axis);
     }
-    get_num(fields, "page_override", r.url_page_override);
+    if (fields.count("page_override") &&
+        (!get_num(fields, "page_override", r.url_page_override) ||
+         r.url_page_override == Resource::kNoPageOverride)) {
+      return fail("res: bad page_override" + at);
+    }
     if (auto fl = fields.find("flags"); fl != fields.end()) {
-      std::istringstream fs(fl->second);
-      std::string flag;
-      while (std::getline(fs, flag, ',')) {
+      const auto flags = split_list(fl->second);
+      if (!flags) return fail("res: empty flag" + at);
+      for (const std::string& flag : *flags) {
         if (flag == "iframe_doc") r.is_iframe_doc = true;
         else if (flag == "in_iframe") r.in_iframe = true;
         else if (flag == "async") r.async = true;
@@ -235,6 +304,11 @@ std::optional<PageModel> page_from_trace(const std::string& text,
     if (r.parent >= static_cast<std::int32_t>(r.id)) {
       return fail("res: parent must precede child" + at);
     }
+    // Parent -1 marks the root, and only the root.
+    if (r.parent < (r.id == 0 ? -1 : 0)) return fail("res: bad parent" + at);
+    if (r.id == 0 && r.type != ResourceType::Html) {
+      return fail("resource 0 must be the root HTML" + at);
+    }
     if (r.volatility != Volatility::PerLoad && r.rotation_period <= 0) {
       return fail("res: rotating resource needs period" + at);
     }
@@ -242,9 +316,6 @@ std::optional<PageModel> page_from_trace(const std::string& text,
   }
   if (!page) return fail("empty trace");
   if (page->size() == 0) return fail("trace has no resources");
-  if (page->root().type != ResourceType::Html) {
-    return fail("resource 0 must be the root HTML");
-  }
   return page;
 }
 

@@ -356,7 +356,7 @@ TEST(SnapshotHints, EqualsPerMissProviderOnEverySnapshot) {
         for (sim::Time t = hints.last_crawl(0, p); t < window;
              t += hints.period()) {
           for (std::size_t d = 0; d < devices.size(); ++d) {
-            const int got = hints.hints(p, t, d);
+            const int got = hints.hints(p, t);
             ASSERT_EQ(got, per_miss_hints(corpus, cfg, 42, p, devices[d], t))
                 << corpus.name() << " page " << p << " crawl " << t
                 << " device " << devices[d].name << " handling "
@@ -382,12 +382,12 @@ TEST(SnapshotHintsDeathTest, LookupOutsideTheTableAbortsNamingPageAndTime) {
   // A real snapshot of page 1, but past the window's end.
   const sim::Time past = hints.last_crawl(window + hints.period(), 1);
   ASSERT_GE(past, window);
-  EXPECT_DEATH((void)hints.hints(1, past, 0),
+  EXPECT_DEATH((void)hints.hints(1, past),
                "no snapshot for page 1 at crawl time " +
                    std::to_string(past) + " us");
   // Inside the window, but not a crawl time.
   const sim::Time off_grid = hints.last_crawl(sim::hours(2), 0) + 1;
-  EXPECT_DEATH((void)hints.hints(0, off_grid, 0),
+  EXPECT_DEATH((void)hints.hints(0, off_grid),
                "no snapshot for page 0 at crawl time " +
                    std::to_string(off_grid) + " us");
   // A front-end serving past the window fails the same way.
@@ -397,7 +397,7 @@ TEST(SnapshotHintsDeathTest, LookupOutsideTheTableAbortsNamingPageAndTime) {
   // Rows are never resolved on demand: an unbuilt row is a hard error.
   const deploy::SnapshotHints unbuilt(corpus, cfg, 42, {web::nexus6()},
                                       window);
-  EXPECT_DEATH((void)unbuilt.hints(0, unbuilt.last_crawl(0, 0), 0),
+  EXPECT_DEATH((void)unbuilt.hints(0, unbuilt.last_crawl(0, 0)),
                "no snapshot for page 0 at crawl time -?[0-9]+ us.*unbuilt");
 }
 

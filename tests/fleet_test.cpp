@@ -8,8 +8,8 @@
 #include <gtest/gtest.h>
 
 #include "baselines/strategies.h"
-#include "fleet/job_queue.h"
 #include "harness/experiment.h"
+#include "obs/metrics.h"
 #include "scoped_env.h"
 #include "web/corpus.h"
 
@@ -70,28 +70,6 @@ harness::RunOptions small_options() {
   harness::RunOptions opt;
   opt.seed = 42;
   return opt;
-}
-
-TEST(JobQueue, GridOrderAndDrain) {
-  auto jobs = fleet::JobQueue::grid(2, 3, 2);
-  ASSERT_EQ(jobs.size(), 12u);
-  // Cell-major, then page, then load — the serial visit order.
-  EXPECT_EQ(jobs[0].cell_index, 0);
-  EXPECT_EQ(jobs[0].page_index, 0);
-  EXPECT_EQ(jobs[0].load_index, 0);
-  EXPECT_EQ(jobs[1].load_index, 1);
-  EXPECT_EQ(jobs[2].page_index, 1);
-  EXPECT_EQ(jobs.back().cell_index, 1);
-  EXPECT_EQ(jobs.back().page_index, 2);
-  EXPECT_EQ(jobs.back().load_index, 1);
-
-  fleet::JobQueue queue(jobs);
-  EXPECT_EQ(queue.size(), 12u);
-  std::size_t popped = 0;
-  while (queue.pop().has_value()) ++popped;
-  EXPECT_EQ(popped, 12u);
-  EXPECT_EQ(queue.remaining(), 0u);
-  EXPECT_FALSE(queue.pop().has_value());  // stays drained
 }
 
 TEST(Fleet, ParallelBitIdenticalToSerial) {
@@ -182,6 +160,23 @@ TEST(Fleet, RunTasksSerialPathPreservesIndexOrder) {
   std::atomic<int> calls{0};
   fleet::run_tasks(2, [&](std::size_t) { calls.fetch_add(1); }, 16);
   EXPECT_EQ(calls.load(), 2);
+
+  // A compiled sweep grid on one worker replays the serial visit order:
+  // cell-major, then page, then load.
+  const std::vector<fleet::Job> grid = fleet::serial_job_order({{3, 2}, {3, 2}});
+  ASSERT_EQ(grid.size(), 12u);
+  std::vector<fleet::Job> visited;
+  fleet::run_tasks(
+      grid.size(), [&](std::size_t i) { visited.push_back(grid[i]); }, 1);
+  ASSERT_EQ(visited.size(), 12u);
+  EXPECT_EQ(visited[0].cell_index, 0);
+  EXPECT_EQ(visited[0].page_index, 0);
+  EXPECT_EQ(visited[0].load_index, 0);
+  EXPECT_EQ(visited[1].load_index, 1);
+  EXPECT_EQ(visited[2].page_index, 1);
+  EXPECT_EQ(visited.back().cell_index, 1);
+  EXPECT_EQ(visited.back().page_index, 2);
+  EXPECT_EQ(visited.back().load_index, 1);
 }
 
 TEST(Fleet, RunTasksHonorsVroomJobsEnv) {
@@ -219,40 +214,48 @@ TEST(Fleet, MoreWorkersThanJobsStillIdentical) {
 TEST(Fleet, TelemetryCountersAddUp) {
   ScopedEnv jobs_env("VROOM_JOBS", nullptr);
   ScopedEnv pages_env("VROOM_BENCH_PAGES", nullptr);
+  const std::string metrics_dir =
+      testing::TempDir() + "vroom_fleet_telemetry_metrics";
+  ScopedEnv metrics_env("VROOM_METRICS", metrics_dir.c_str());
   const web::Corpus corpus = web::Corpus::smoke(7);
   const harness::RunOptions opt = small_options();
   const std::vector<baselines::Strategy> strategies = {
       baselines::http2_baseline(), baselines::vroom()};
-
-  fleet::Telemetry telemetry;
-  fleet::FleetOptions fo;
-  fo.workers = 4;
-  fo.telemetry = &telemetry;
-  const auto results = fleet::run_plan(
-      fleet::SweepPlan().add_matrix(corpus, strategies, opt), fo);
-
   const std::size_t expected_jobs = strategies.size() * corpus.size() *
                                     static_cast<std::size_t>(opt.loads_per_page);
-  const fleet::TelemetrySummary s = telemetry.summary();
-  EXPECT_EQ(s.jobs_submitted, expected_jobs);
-  EXPECT_EQ(s.jobs_completed, s.jobs_submitted);
-  EXPECT_EQ(s.workers, 4);
-  EXPECT_EQ(s.worker_busy_seconds.size(), 4u);
-  EXPECT_GE(s.peak_in_flight, 1);
-  EXPECT_LE(s.peak_in_flight, s.workers);
-  EXPECT_GT(s.wall_seconds, 0.0);
-  EXPECT_GT(s.busy_seconds_total, 0.0);
-  EXPECT_GT(s.jobs_per_second, 0.0);
-  EXPECT_GT(s.simulated_seconds, 0.0);
-  EXPECT_LE(s.job_seconds.p25, s.job_seconds.p50);
-  EXPECT_LE(s.job_seconds.p50, s.job_seconds.p75);
-  // Per-worker busy times sum to the total the summary reports.
-  double busy = 0;
-  for (double w : s.worker_busy_seconds) busy += w;
-  EXPECT_DOUBLE_EQ(busy, s.busy_seconds_total);
-  // And the sweep still produced one median load per page per strategy.
-  ASSERT_EQ(results.size(), strategies.size());
-  for (const auto& r : results) EXPECT_EQ(r.loads.size(), corpus.size());
+
+  for (const int workers : {1, 4}) {
+    SCOPED_TRACE("workers=" + std::to_string(workers));
+    fleet::Telemetry telemetry;
+    fleet::FleetOptions fo;
+    fo.workers = workers;
+    fo.telemetry = &telemetry;
+    const auto results = fleet::run_plan(
+        fleet::SweepPlan().add_matrix(corpus, strategies, opt), fo);
+
+    const fleet::TelemetrySummary& s = telemetry.summary();
+    EXPECT_EQ(s.jobs_submitted, expected_jobs);
+    EXPECT_EQ(s.jobs_completed, s.jobs_submitted);
+    EXPECT_EQ(s.workers, workers);
+    EXPECT_GT(s.wall_seconds, 0.0);
+    EXPECT_GT(s.busy_seconds_total, 0.0);
+    EXPECT_GT(s.jobs_per_second, 0.0);
+    EXPECT_GT(s.simulated_seconds, 0.0);
+    EXPECT_LE(s.job_seconds.p25, s.job_seconds.p50);
+    EXPECT_LE(s.job_seconds.p50, s.job_seconds.p75);
+    // The summary and the fleet.* metrics come from one per-job table.
+    EXPECT_EQ(static_cast<std::int64_t>(s.jobs_completed),
+              obs::registry().counter("fleet.jobs.completed").value());
+    EXPECT_NEAR(s.simulated_seconds,
+                static_cast<double>(
+                    obs::registry().counter("fleet.sim.virtual_us").value()) /
+                    1e6,
+                1e-9 * static_cast<double>(expected_jobs));
+    // And the sweep still produced one median load per page per strategy.
+    ASSERT_EQ(results.size(), strategies.size());
+    for (const auto& r : results) EXPECT_EQ(r.loads.size(), corpus.size());
+  }
+  obs::set_metrics_enabled(false);
 }
 
 // Regression: the removed result cache keyed loads by (seed, page id,

@@ -13,8 +13,8 @@
 
 #include "baselines/strategies.h"
 #include "browser/cache.h"
-#include "fleet/job_queue.h"
 #include "harness/experiment.h"
+#include "obs/metrics.h"
 #include "scoped_env.h"
 #include "web/corpus.h"
 
@@ -144,39 +144,54 @@ TEST(SweepPlan, CustomLabelsFlowToResults) {
 TEST(SweepPlan, PerCellTelemetryAddsUp) {
   ScopedEnv jobs_env("VROOM_JOBS", nullptr);
   ScopedEnv pages_env("VROOM_BENCH_PAGES", nullptr);
+  const std::string metrics_dir =
+      testing::TempDir() + "vroom_sweep_plan_telemetry_metrics";
+  ScopedEnv metrics_env("VROOM_METRICS", metrics_dir.c_str());
   const web::Corpus a = web::Corpus::smoke(7);
   const web::Corpus b = web::Corpus::smoke(11, /*count=*/3);
   const fleet::SweepPlan plan = mixed_plan(a, b);
 
-  fleet::Telemetry telemetry;
-  fleet::FleetOptions fo;
-  fo.workers = 4;
-  fo.telemetry = &telemetry;
-  (void)fleet::run_plan(plan, fo);
+  for (const int workers : {1, 4}) {
+    SCOPED_TRACE("workers=" + std::to_string(workers));
+    fleet::Telemetry telemetry;
+    fleet::FleetOptions fo;
+    fo.workers = workers;
+    fo.telemetry = &telemetry;
+    (void)fleet::run_plan(plan, fo);
 
-  const fleet::TelemetrySummary s = telemetry.summary();
-  ASSERT_EQ(s.cells.size(), plan.cells.size());
-  std::size_t submitted = 0, completed = 0;
-  double busy = 0.0, simulated = 0.0;
-  for (std::size_t c = 0; c < s.cells.size(); ++c) {
-    const fleet::CellTelemetrySummary& cell = s.cells[c];
-    const std::size_t expected_jobs =
-        plan.cells[c].corpus->size() *
-        static_cast<std::size_t>(plan.cells[c].options.loads_per_page);
-    EXPECT_EQ(cell.jobs_submitted, expected_jobs) << "cell=" << c;
-    EXPECT_EQ(cell.jobs_completed, expected_jobs) << "cell=" << c;
-    EXPECT_EQ(cell.label, plan.cells[c].strategy.name);
-    EXPECT_GT(cell.busy_seconds, 0.0);
-    EXPECT_GT(cell.simulated_seconds, 0.0);
-    submitted += cell.jobs_submitted;
-    completed += cell.jobs_completed;
-    busy += cell.busy_seconds;
-    simulated += cell.simulated_seconds;
+    const fleet::TelemetrySummary& s = telemetry.summary();
+    ASSERT_EQ(s.cells.size(), plan.cells.size());
+    std::size_t submitted = 0, completed = 0;
+    double busy = 0.0, simulated = 0.0;
+    for (std::size_t c = 0; c < s.cells.size(); ++c) {
+      const fleet::CellTelemetrySummary& cell = s.cells[c];
+      const std::size_t expected_jobs =
+          plan.cells[c].corpus->size() *
+          static_cast<std::size_t>(plan.cells[c].options.loads_per_page);
+      EXPECT_EQ(cell.jobs_submitted, expected_jobs) << "cell=" << c;
+      EXPECT_EQ(cell.jobs_completed, expected_jobs) << "cell=" << c;
+      EXPECT_EQ(cell.label, plan.cells[c].strategy.name);
+      EXPECT_GT(cell.busy_seconds, 0.0);
+      EXPECT_GT(cell.simulated_seconds, 0.0);
+      submitted += cell.jobs_submitted;
+      completed += cell.jobs_completed;
+      busy += cell.busy_seconds;
+      simulated += cell.simulated_seconds;
+    }
+    EXPECT_EQ(submitted, s.jobs_submitted);
+    EXPECT_EQ(completed, s.jobs_completed);
+    EXPECT_DOUBLE_EQ(busy, s.busy_seconds_total);
+    EXPECT_NEAR(simulated, s.simulated_seconds, 1e-9);
+    // The fleet.* metrics come from the same per-job table.
+    EXPECT_EQ(static_cast<std::int64_t>(s.jobs_completed),
+              obs::registry().counter("fleet.jobs.completed").value());
+    EXPECT_NEAR(s.simulated_seconds,
+                static_cast<double>(
+                    obs::registry().counter("fleet.sim.virtual_us").value()) /
+                    1e6,
+                1e-9 * static_cast<double>(s.jobs_completed));
   }
-  EXPECT_EQ(submitted, s.jobs_submitted);
-  EXPECT_EQ(completed, s.jobs_completed);
-  EXPECT_DOUBLE_EQ(busy, s.busy_seconds_total);
-  EXPECT_NEAR(simulated, s.simulated_seconds, 1e-9);
+  obs::set_metrics_enabled(false);
 }
 
 TEST(SweepPlan, WarmCacheCellDegradesPlanToOneWorker) {
@@ -213,7 +228,7 @@ TEST(SweepPlan, WarmCacheCellDegradesPlanToOneWorker) {
 TEST(JobOrdering, LongestFirstIsDeterministicAndDescending) {
   // 2 cells × 3 pages × 2 loads with synthetic sizes: size depends only on
   // (cell, page), so the 2 loads of a page tie and must break by identity.
-  const auto jobs = fleet::JobQueue::grid(2, 3, 2);
+  const auto jobs = fleet::serial_job_order({{3, 2}, {3, 2}});
   const auto size_of = [](const fleet::Job& j) -> std::size_t {
     const std::size_t sizes[2][3] = {{5, 9, 5}, {9, 2, 7}};
     return sizes[j.cell_index][j.page_index];

@@ -1,5 +1,11 @@
+#include <algorithm>
+#include <cstddef>
 #include <cstdlib>
+#include <map>
+#include <random>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -147,6 +153,154 @@ TEST(TraceErrors, AcceptsCommentsAndHandwrittenMinimalPage) {
   harness::RunOptions opt;
   auto r = harness::run_page_load(*page, baselines::vroom(), opt, 1);
   EXPECT_TRUE(r.finished);
+}
+
+// What a trace states, record by record: each non-comment line's kind and
+// its key=value fields. Bare tokens without '=' carry nothing (the parser
+// skips them), and neither do comment or blank lines.
+struct TraceRecord {
+  std::string kind;
+  std::map<std::string, std::string> fields;
+};
+
+std::vector<TraceRecord> records_of(const std::string& text) {
+  std::vector<TraceRecord> out;
+  std::istringstream in(text);
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.empty() || line[0] == '#') continue;
+    std::istringstream ls(line);
+    TraceRecord record;
+    ls >> record.kind;
+    std::string token;
+    while (ls >> token) {
+      const std::size_t eq = token.find('=');
+      if (eq != std::string::npos) {
+        record.fields[token.substr(0, eq)] = token.substr(eq + 1);
+      }
+    }
+    out.push_back(std::move(record));
+  }
+  return out;
+}
+
+// Field values agree when they are the same text or spell the same number
+// ("0.50" and "0.5", "007" and "7"; 17-digit doubles are not unique).
+bool same_value(const std::string& a, const std::string& b) {
+  if (a == b) return true;
+  char* a_end = nullptr;
+  char* b_end = nullptr;
+  const double x = std::strtod(a.c_str(), &a_end);
+  const double y = std::strtod(b.c_str(), &b_end);
+  return !a.empty() && !b.empty() && *a_end == '\0' && *b_end == '\0' &&
+         x == y;
+}
+
+// The first difference between what `stated` says and what `carried`
+// says, record by record and field by field; empty when they agree.
+std::string first_difference(const std::string& stated,
+                             const std::string& carried) {
+  const std::vector<TraceRecord> a = records_of(stated);
+  const std::vector<TraceRecord> b = records_of(carried);
+  if (a.size() != b.size()) {
+    return std::to_string(a.size()) + " records stated, " +
+           std::to_string(b.size()) + " carried";
+  }
+  for (std::size_t r = 0; r < a.size(); ++r) {
+    const std::string where = "record " + std::to_string(r);
+    if (a[r].kind != b[r].kind) return where + " kind";
+    for (const auto& [key, value] : a[r].fields) {
+      const auto it = b[r].fields.find(key);
+      if (it == b[r].fields.end()) {
+        return where + " " + key + "=" + value + " not carried";
+      }
+      if (!same_value(value, it->second)) {
+        return where + " " + key + ": stated " + value + ", carried " +
+               it->second;
+      }
+    }
+    for (const auto& [key, value] : b[r].fields) {
+      if (a[r].fields.count(key) == 0) {
+        return where + " " + key + "=" + value + " carried, not stated";
+      }
+    }
+  }
+  return {};
+}
+
+// One seeded edit of `text`: insert, delete or replace one character at a
+// random position, drawn from printable ASCII, tab and newline.
+std::string mutate_once(const std::string& text, std::mt19937_64& rng,
+                        std::size_t* at) {
+  const auto random_char = [&rng] {
+    const std::size_t pick = rng() % 97;
+    if (pick == 95) return '\n';
+    if (pick == 96) return '\t';
+    return static_cast<char>(' ' + pick);
+  };
+  std::string out = text;
+  *at = rng() % text.size();
+  switch (rng() % 3) {
+    case 0:
+      out.insert(*at, 1, random_char());
+      break;
+    case 1:
+      out.erase(*at, 1);
+      break;
+    default:
+      out[*at] = random_char();
+      break;
+  }
+  return out;
+}
+
+// Seeded-mutation robustness (the ROADMAP's parser fuzz item): 200 single
+// edits of a real page_to_trace text. Each is either rejected with an
+// error naming the edited line (or the next one, when the edit commented
+// the line out or split it in two), or accepted as a page whose own trace
+// states exactly what the edited text states — every record, every field,
+// every value — and re-parses to itself. An accepted edit that the page
+// does not carry (a dropped field, a wrapped integer, an ignored typo)
+// fails here.
+TEST(TraceErrors, SeededMutationsRejectNamingTheLineOrRoundTrip) {
+  const std::string original =
+      page_to_trace(generate_page(42, 8, PageClass::Mixed400));
+  std::mt19937_64 rng(20170821);
+  int accepted = 0;
+  int rejected = 0;
+  for (int i = 0; i < 200; ++i) {
+    std::size_t at = 0;
+    const std::string mutated = mutate_once(original, rng, &at);
+    const int line =
+        1 + static_cast<int>(std::count(original.begin(),
+                                        original.begin() +
+                                            static_cast<std::ptrdiff_t>(at),
+                                        '\n'));
+    SCOPED_TRACE("mutation " + std::to_string(i) + " at line " +
+                 std::to_string(line) + ": " +
+                 mutated.substr(0, mutated.find('\n', at)).substr(
+                     mutated.rfind('\n', at == 0 ? 0 : at - 1) + 1));
+    std::string error;
+    const auto parsed = page_from_trace(mutated, &error);
+    if (!parsed.has_value()) {
+      ++rejected;
+      const std::string here = "(line " + std::to_string(line) + ")";
+      const std::string next = "(line " + std::to_string(line + 1) + ")";
+      EXPECT_TRUE(error.find(here) != std::string::npos ||
+                  error.find(next) != std::string::npos)
+          << error;
+      continue;
+    }
+    ++accepted;
+    const std::string reserialized = page_to_trace(*parsed);
+    EXPECT_EQ(first_difference(mutated, reserialized), "");
+    const auto reparsed = page_from_trace(reserialized);
+    ASSERT_TRUE(reparsed.has_value());
+    EXPECT_EQ(page_to_trace(*reparsed), reserialized);
+  }
+  // The mix must exercise both outcomes.
+  EXPECT_GT(accepted, 0);
+  EXPECT_GT(rejected, 0);
 }
 
 TEST(ExportTest, SlugifyAndCsvShape) {
