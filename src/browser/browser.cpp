@@ -200,17 +200,17 @@ void Browser::fetch_url(web::UrlId id, int priority, FetchReason reason) {
   req.is_document = info.parse_ok && info.type == web::ResourceType::Html;
 
   http::ResponseHandlers handlers;
-  handlers.on_headers = [this](const http::ResponseMeta& meta) {
+  handlers.on_headers = [this](http::ResponseMeta& meta) {
     handle_headers(meta);
   };
   handlers.on_complete = [this](const http::ResponseMeta& meta) {
     handle_complete(meta);
   };
   pool_.endpoint(info.domain, instance_->interner().domain(info.domain))
-      .fetch(req, std::move(handlers));
+      .fetch(std::move(req), std::move(handlers));
 }
 
-void Browser::handle_headers(const http::ResponseMeta& meta) {
+void Browser::handle_headers(http::ResponseMeta& meta) {
   if (result_.ttfb == sim::kNever && instance_->size() > 0 &&
       meta.url_id == instance_->resource(0).url_id) {
     result_.ttfb = net_.loop().now();
@@ -228,7 +228,9 @@ void Browser::handle_headers(const http::ResponseMeta& meta) {
   // The request scheduler examines hint headers on the main thread; a busy
   // CPU delays it (§5.2).
   tasks_.post(config_.cpu.task_overhead, TaskPriority::Scheduler,
-              [this, hints = meta.hints] { policy_->on_hints(*this, hints); });
+              [this, hints = std::move(meta.hints)] {
+                policy_->on_hints(*this, hints);
+              });
 }
 
 void Browser::handle_complete(const http::ResponseMeta& meta) {
@@ -340,7 +342,7 @@ void Browser::maybe_process(web::UrlId id) {
   schedule_processing(id, tid);
 }
 
-bool Browser::blocked_on_css(std::function<void()> resume) {
+bool Browser::blocked_on_css(sim::SmallFn resume) {
   if (css_blocking_ == 0) return false;
   if (trace::Recorder* tr = trace::of(net_.loop())) {
     tr->instant(trace::Layer::Browser, "browser", "main-thread",
@@ -612,6 +614,7 @@ void Browser::finalize_result() {
   }
 
   sim::Time all_disc = 0, all_fetch = 0, hp_disc = 0, hp_fetch = 0;
+  result_.timings.reserve(touch_order_.size());
   for (const auto& [u, id] : touch_order_) {
     const FetchState& fs = fetches_[id];
     ResourceTiming t;

@@ -31,6 +31,7 @@
 #include <string>
 #include <string_view>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "browser/cache.h"
@@ -87,6 +88,8 @@ class Browser {
 
   bool finished() const { return result_.finished; }
   const LoadResult& result() const { return result_; }
+  // Moves the result out (the browser's last use).
+  LoadResult take_result() { return std::move(result_); }
 
   // ---- API for policies and push wiring ----
 
@@ -153,7 +156,7 @@ class Browser {
     sim::Time requested = sim::kNever;
     sim::Time complete_t = sim::kNever;
     sim::Time processed_t = sim::kNever;
-    std::vector<std::function<void()>> on_complete_waiters;
+    std::vector<sim::SmallFn> on_complete_waiters;
   };
 
   struct DocState {
@@ -175,7 +178,8 @@ class Browser {
   FetchState& state_for(web::UrlId id);
   const FetchState* find_state(web::UrlId id) const;
 
-  void handle_headers(const http::ResponseMeta& meta);
+  // Takes the response's hints (see http::ResponseHandlers).
+  void handle_headers(http::ResponseMeta& meta);
   void handle_complete(const http::ResponseMeta& meta);
   void finish_fetch(web::UrlId id, std::int64_t bytes, bool from_cache,
                     bool not_modified);
@@ -191,7 +195,7 @@ class Browser {
   // CSSOM dependency: script execution waits until every discovered
   // render-blocking stylesheet of the main document has been fetched and
   // parsed. Returns true if `resume` was queued (caller must not proceed).
-  bool blocked_on_css(std::function<void()> resume);
+  bool blocked_on_css(sim::SmallFn resume);
 
   void start_document(std::uint32_t doc_id);
   void advance_parser(std::uint32_t doc_id);
@@ -236,7 +240,7 @@ class Browser {
   int referenced_incomplete_ = 0;
   int outstanding_ = 0;
   int css_blocking_ = 0;  // render-blocking stylesheets not yet parsed
-  std::vector<std::function<void()>> css_waiters_;
+  std::vector<sim::SmallFn> css_waiters_;
   bool root_done_ = false;
   bool started_ = false;
 

@@ -19,9 +19,8 @@ const char* task_name(int priority) {
 }  // namespace
 
 void TaskQueue::post(sim::Time duration, TaskPriority priority,
-                     std::function<void()> body) {
-  queue_.push_back(Task{duration, static_cast<int>(priority), next_seq_++,
-                        std::move(body)});
+                     sim::SmallFn body) {
+  queue_.push_back(Task{duration, static_cast<int>(priority), std::move(body)});
   if (!running_) start_next();
 }
 
@@ -45,16 +44,16 @@ void TaskQueue::start_next() {
     if (observer_) observer_(true);
   }
   total_busy_ += task.duration;
+  running_body_ = std::move(task.body);
   const sim::Time started = loop_.now();
-  loop_.schedule_in(task.duration, [this, started,
-                                    priority = task.priority,
-                                    body = std::move(task.body)] {
+  loop_.schedule_in(task.duration, [this, started, priority = task.priority] {
     if (trace::Recorder* tr = trace::of(loop_)) {
       tr->complete(trace::Layer::Browser, "browser", "main-thread",
                    task_name(priority), started);
       tr->counters().add("browser.tasks_executed");
       tr->counters().add("browser.cpu_busy_us", loop_.now() - started);
     }
+    sim::SmallFn body = std::move(running_body_);
     body();  // may post more tasks
     start_next();
   });

@@ -12,6 +12,7 @@
 #include <memory_resource>
 
 #include "sim/event_loop.h"
+#include "sim/small_fn.h"
 
 namespace vroom::browser {
 
@@ -34,8 +35,7 @@ class TaskQueue {
 
   // Enqueues a task occupying the CPU for `duration`; `body` runs at task
   // completion.
-  void post(sim::Time duration, TaskPriority priority,
-            std::function<void()> body);
+  void post(sim::Time duration, TaskPriority priority, sim::SmallFn body);
 
   bool busy() const { return running_; }
   bool idle() const { return !running_ && queue_.empty(); }
@@ -51,8 +51,7 @@ class TaskQueue {
   struct Task {
     sim::Time duration;
     int priority;
-    std::uint64_t seq;
-    std::function<void()> body;
+    sim::SmallFn body;
   };
 
   void start_next();
@@ -60,7 +59,9 @@ class TaskQueue {
   sim::EventLoop& loop_;
   std::pmr::deque<Task> queue_;
   bool running_ = false;
-  std::uint64_t next_seq_ = 0;
+  // The running task's body. Held here, not in the completion event's
+  // closure, so that closure stays within SmallFn's inline buffer.
+  sim::SmallFn running_body_;
   sim::Time total_busy_ = 0;
   std::function<void(bool)> observer_;
 };

@@ -140,7 +140,7 @@ browser::LoadResult run_page_load(const web::PageModel& page,
     executed = loop.run(options.timeout);
   }
 
-  browser::LoadResult result = browser.result();
+  browser::LoadResult result = browser.take_result();
   result.sim_events = static_cast<std::int64_t>(executed);
   if (!result.finished) {
     // Timed out: report the timeout as the PLT so tails stay visible.

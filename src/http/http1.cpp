@@ -9,47 +9,51 @@ namespace vroom::http {
 
 Http1Group::Http1Group(net::Network& net, std::string domain,
                        RequestHandler& handler, std::uint32_t domain_id)
-    : net_(net),
-      domain_(std::move(domain)),
-      handler_(handler),
-      domain_id_(domain_id) {}
+    : ExchangeSession(net, std::move(domain), handler),
+      domain_id_(domain_id),
+      queue_(net.memory()) {}
 
-void Http1Group::fetch(const Request& req, ResponseHandlers handlers) {
+void Http1Group::fetch(Request req, ResponseHandlers handlers) {
+  Exchange& x = open(std::move(req), std::move(handlers));
+  x.started = net_.loop().now();  // queued; claim() measures the wait
   // Insert keeping the queue ordered by priority (desc), FIFO within equal
   // priorities.
-  auto it = std::find_if(queue_.begin(), queue_.end(),
-                         [&](const auto& e) { return e.req.priority <
-                                                      req.priority; });
-  queue_.insert(it, Pending{req, std::move(handlers), net_.loop().now()});
+  auto it = std::find_if(queue_.begin(), queue_.end(), [&](const Exchange* e) {
+    return e->req.priority < x.req.priority;
+  });
+  queue_.insert(it, &x);
   pump();
 }
 
-void Http1Group::claim(Conn& c, Pending pending) {
+void Http1Group::claim(std::uint32_t conn, Exchange& x) {
   if (trace::Recorder* tr = trace::of(net_.loop())) {
-    const sim::Time waited = net_.loop().now() - pending.enqueued;
+    const sim::Time waited = net_.loop().now() - x.started;
     if (waited > 0) {
       // All six connections were occupied while this request sat queued:
       // HTTP/1.1's head-of-line blocking, the cost HTTP/2 multiplexing (and
       // eventually push) was designed to remove.
       tr->complete(trace::Layer::Http, domain_, "h1-queue", "h1.queue_wait",
-                   pending.enqueued, {trace::arg("url", pending.req.url)});
+                   x.started, {trace::arg("url", x.req.url)});
       tr->counters().add("http.h1_hol_waits");
       tr->counters().add("http.h1_hol_wait_us", waited);
     }
+    tr->counters().add("http.h1_requests");
   }
+  Conn& c = *conns_[conn];
   c.busy = true;
-  run_request(c, std::move(pending.req), std::move(pending.handlers));
+  x.conn = conn;
+  send(*c.tcp, x, kH1RequestHeaderBytes);
 }
 
 void Http1Group::pump() {
   if (queue_.empty()) return;
   // Reuse an idle established connection first.
-  for (auto& cp : conns_) {
-    if (!cp->busy && !cp->connecting && cp->tcp->established()) {
-      if (queue_.empty()) return;
-      Pending pending = std::move(queue_.front());
-      queue_.pop_front();
-      claim(*cp, std::move(pending));
+  for (std::uint32_t i = 0; i < conns_.size(); ++i) {
+    const Conn& c = *conns_[i];
+    if (!c.busy && !c.connecting && c.tcp->established()) {
+      Exchange& x = *queue_.front();
+      queue_.erase(queue_.begin());
+      claim(i, x);
       if (queue_.empty()) return;
     }
   }
@@ -75,50 +79,26 @@ void Http1Group::pump() {
   // If every connection is busy/connecting, the queue drains later.
 }
 
-void Http1Group::run_request(Conn& c, Request req, ResponseHandlers handlers) {
-  const sim::Time started = net_.loop().now();
-  if (trace::Recorder* tr = trace::of(net_.loop())) {
-    tr->counters().add("http.h1_requests");
-  }
-  c.tcp->send_request(
-      kH1RequestHeaderBytes,
-      [this, &c, started, req, handlers = std::move(handlers)]() mutable {
-        ServerReply reply = handler_.handle(req);
-        const sim::Time delay = net_.config().server_think + reply.extra_delay;
-        net_.loop().schedule_in(delay, [this, &c, started, req,
-                                        reply = std::move(reply),
-                                        handlers =
-                                            std::move(handlers)]() mutable {
-          auto meta = std::make_shared<ResponseMeta>();
-          meta->url = req.url;
-          meta->url_id = req.url_id;
-          meta->body_bytes = reply.not_modified ? 0 : reply.body_bytes;
-          meta->hints = std::move(reply.hints);
-          meta->not_modified = reply.not_modified;
-          auto shared =
-              std::make_shared<ResponseHandlers>(std::move(handlers));
-          net::TcpConnection::Chunk chunk;
-          chunk.bytes = (reply.not_modified
-                             ? k304Bytes
-                             : kResponseHeaderBytes + reply.body_bytes) +
-                        meta->hints.header_bytes();
-          chunk.on_first_byte = [meta, shared] {
-            if (shared->on_headers) shared->on_headers(*meta);
-          };
-          chunk.on_delivered = [this, &c, started, meta, shared] {
-            if (trace::Recorder* tr = trace::of(net_.loop())) {
-              tr->complete(trace::Layer::Http, domain_, c.tcp->lane(),
-                           "h1.fetch", started,
-                           {trace::arg("url", meta->url),
-                            trace::arg("bytes", meta->body_bytes)});
-            }
-            if (shared->on_complete) shared->on_complete(*meta);
-            c.busy = false;
-            pump();
-          };
-          c.tcp->send_chunk(std::move(chunk));
-        });
-      });
+void Http1Group::respond(Exchange& x) {
+  net::TcpConnection::Chunk chunk;
+  chunk.bytes = make_meta(x, kResponseHeaderBytes);
+  chunk.on_first_byte = [&x] {
+    if (x.handlers.on_headers) x.handlers.on_headers(x.meta);
+  };
+  chunk.on_delivered = [this, &x] {
+    Conn& c = *conns_[x.conn];
+    if (trace::Recorder* tr = trace::of(net_.loop())) {
+      tr->complete(trace::Layer::Http, domain_, c.tcp->lane(), "h1.fetch",
+                   x.started,
+                   {trace::arg("url", x.meta.url),
+                    trace::arg("bytes", x.meta.body_bytes)});
+    }
+    if (x.handlers.on_complete) x.handlers.on_complete(x.meta);
+    c.busy = false;
+    release(x);
+    pump();
+  };
+  conns_[x.conn]->tcp->send_chunk(std::move(chunk));
 }
 
 }  // namespace vroom::http

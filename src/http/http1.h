@@ -7,17 +7,16 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <memory>
+#include <memory_resource>
 #include <string>
 #include <vector>
 
-#include "http/message.h"
-#include "net/tcp.h"
+#include "http/exchange.h"
 
 namespace vroom::http {
 
-class Http1Group : public Endpoint {
+class Http1Group : public ExchangeSession {
  public:
   static constexpr int kMaxConnections = 6;
 
@@ -26,8 +25,7 @@ class Http1Group : public Endpoint {
   Http1Group(net::Network& net, std::string domain, RequestHandler& handler,
              std::uint32_t domain_id = 0xffffffffu);
 
-  void fetch(const Request& req, ResponseHandlers handlers) override;
-  const std::string& domain() const override { return domain_; }
+  void fetch(Request req, ResponseHandlers handlers) override;
 
  private:
   struct Conn {
@@ -35,22 +33,15 @@ class Http1Group : public Endpoint {
     bool connecting = false;
     bool busy = false;
   };
-  struct Pending {
-    Request req;
-    ResponseHandlers handlers;
-    sim::Time enqueued = 0;  // for head-of-line wait tracing
-  };
 
   void pump();
-  void claim(Conn& c, Pending pending);
-  void run_request(Conn& c, Request req, ResponseHandlers handlers);
+  void claim(std::uint32_t conn, Exchange& x);
+  void respond(Exchange& x) override;
 
-  net::Network& net_;
-  std::string domain_;
-  RequestHandler& handler_;
   std::uint32_t domain_id_;
   std::vector<std::unique_ptr<Conn>> conns_;
-  std::deque<Pending> queue_;
+  // Priority order (desc), FIFO within a priority.
+  std::pmr::vector<Exchange*> queue_;
   bool dns_done_ = false;  // only the first connection pays the DNS lookup
 };
 

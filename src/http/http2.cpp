@@ -8,16 +8,21 @@
 
 namespace vroom::http {
 
+namespace {
+std::string stream_lane(std::uint32_t stream) {
+  return "stream#" + std::to_string(stream);
+}
+}  // namespace
+
 Http2Session::Http2Session(net::Network& net, std::string domain,
                            RequestHandler& handler, PushObserver push_observer,
                            net::WriterDiscipline discipline,
                            std::uint32_t domain_id)
-    : net_(net),
-      domain_(std::move(domain)),
-      handler_(handler),
+    : ExchangeSession(net, std::move(domain), handler),
       push_observer_(std::move(push_observer)),
       discipline_(discipline),
-      domain_id_(domain_id) {}
+      domain_id_(domain_id),
+      pending_(net.memory()) {}
 
 void Http2Session::ensure_connected() {
   if (conn_) return;
@@ -27,125 +32,106 @@ void Http2Session::ensure_connected() {
   connecting_ = true;
   conn_->connect([this] {
     connecting_ = false;
-    auto pending = std::move(pending_);
+    // Nothing can fetch into pending_ while it drains: connecting_ is off.
+    for (Exchange* x : pending_) dispatch(*x);
     pending_.clear();
-    for (auto& [req, handlers] : pending) dispatch(req, std::move(handlers));
   });
 }
 
-void Http2Session::fetch(const Request& req, ResponseHandlers handlers) {
+void Http2Session::fetch(Request req, ResponseHandlers handlers) {
   ensure_connected();
+  Exchange& x = open(std::move(req), std::move(handlers));
   if (connecting_) {
-    pending_.emplace_back(req, std::move(handlers));
+    pending_.push_back(&x);
     return;
   }
-  dispatch(req, std::move(handlers));
+  dispatch(x);
 }
 
-void Http2Session::dispatch(const Request& req, ResponseHandlers handlers) {
+void Http2Session::dispatch(Exchange& x) {
   // HPACK: the first request on the connection populates the dynamic table;
   // later requests reference it.
   const std::int64_t req_bytes = requests_sent_++ == 0
                                      ? kH2RequestHeaderBytesFirst
                                      : kH2RequestHeaderBytesIndexed;
-  const sim::Time requested = net_.loop().now();
-  conn_->send_request(
-      req_bytes,
-      [this, req, requested, handlers = std::move(handlers)]() mutable {
-        // At the origin: think time (+ any policy-specific delay, e.g.
-        // on-the-fly HTML parsing) before the response starts to flow.
-        ServerReply reply = handler_.handle(req);
-        const sim::Time delay = net_.config().server_think + reply.extra_delay;
-        net_.loop().schedule_in(
-            delay, [this, req, requested, reply = std::move(reply),
-                    handlers = std::move(handlers)]() mutable {
-              write_response(req, requested, std::move(reply),
-                             std::move(handlers));
-            });
-      });
+  send(*conn_, x, req_bytes);
 }
 
-void Http2Session::write_response(const Request& req, sim::Time requested,
-                                  ServerReply reply,
-                                  ResponseHandlers handlers) {
-  auto meta = std::make_shared<ResponseMeta>();
-  meta->url = req.url;
-  meta->url_id = req.url_id;
-  meta->body_bytes = reply.not_modified ? 0 : reply.body_bytes;
-  meta->hints = std::move(reply.hints);
-  meta->not_modified = reply.not_modified;
-
-  // Push promises ride with the triggering response's headers.
-  auto promises = std::make_shared<std::vector<PushItem>>(reply.pushes);
-
+void Http2Session::respond(Exchange& x) {
   const std::int64_t resp_header = responses_sent_++ == 0
                                        ? kResponseHeaderBytesFirst
                                        : kResponseHeaderBytesIndexed;
   net::TcpConnection::Chunk chunk;
-  chunk.bytes = (reply.not_modified ? k304Bytes
-                                    : resp_header + reply.body_bytes) +
-                meta->hints.header_bytes();
-  auto shared_handlers =
-      std::make_shared<ResponseHandlers>(std::move(handlers));
-  const std::uint32_t sid = next_stream_;
-  const std::string lane = "stream#" + std::to_string(sid);
-  chunk.on_first_byte = [this, meta, promises, lane, shared_handlers] {
+  chunk.bytes = make_meta(x, resp_header);
+  x.stream = next_stream_;
+  x.pending += static_cast<int>(x.reply.pushes.size());
+  chunk.on_first_byte = [this, &x] { on_headers(x); };
+  chunk.on_delivered = [this, &x] {
     if (trace::Recorder* tr = trace::of(net_.loop())) {
-      // PUSH_PROMISE frames become visible to the client with the
-      // triggering response's headers.
-      for (const PushItem& p : *promises) {
-        tr->instant(trace::Layer::Http, domain_, lane, "push_promise",
-                    {trace::arg("url", p.url),
-                     trace::arg("bytes", p.body_bytes)});
-        tr->counters().add("http.h2_push_promises");
-      }
+      tr->complete(trace::Layer::Http, domain_, stream_lane(x.stream),
+                   "stream", x.started,
+                   {trace::arg("url", x.meta.url),
+                    trace::arg("bytes", x.meta.body_bytes)});
     }
-    if (push_observer_.on_promise) {
-      for (const PushItem& p : *promises) {
-        push_observer_.on_promise(p.url, p.body_bytes);
-      }
-    }
-    if (shared_handlers->on_headers) shared_handlers->on_headers(*meta);
-  };
-  chunk.on_delivered = [this, requested, meta, lane, shared_handlers] {
-    if (trace::Recorder* tr = trace::of(net_.loop())) {
-      tr->complete(trace::Layer::Http, domain_, lane, "stream", requested,
-                   {trace::arg("url", meta->url),
-                    trace::arg("bytes", meta->body_bytes)});
-    }
-    if (shared_handlers->on_complete) shared_handlers->on_complete(*meta);
+    if (x.handlers.on_complete) x.handlers.on_complete(x.meta);
+    release(x);
   };
   if (trace::Recorder* tr = trace::of(net_.loop())) {
     tr->counters().add("http.h2_streams");
   }
-  conn_->send_chunk(next_stream_++, req.priority, std::move(chunk));
+  conn_->send_chunk(next_stream_++, x.req.priority, std::move(chunk));
 
   // Pushed content follows on its own streams; under the Ordered discipline
   // it drains right after the triggering response. Pushed streams carry the
   // priority of their content class so they cannot starve client-requested
   // critical resources.
-  for (const PushItem& p : reply.pushes) {
+  const sim::Time pushed_at = net_.loop().now();
+  for (std::uint32_t i = 0; i < x.reply.pushes.size(); ++i) {
+    const PushItem& p = x.reply.pushes[i];
+    const std::uint32_t sid = next_stream_++;
     net::TcpConnection::Chunk pc;
     pc.bytes = kResponseHeaderBytes + p.body_bytes;
-    const sim::Time pushed_at = net_.loop().now();
-    const std::string push_lane = "stream#" + std::to_string(next_stream_);
-    pc.on_delivered = [this, pushed_at, push_lane, url = p.url,
-                       bytes = p.body_bytes] {
+    pc.on_delivered = [this, &x, i, sid, pushed_at] {
+      const PushItem& item = x.reply.pushes[i];
       if (trace::Recorder* tr = trace::of(net_.loop())) {
-        tr->complete(trace::Layer::Http, domain_, push_lane, "push.stream",
-                     pushed_at,
-                     {trace::arg("url", url), trace::arg("bytes", bytes)});
+        tr->complete(trace::Layer::Http, domain_, stream_lane(sid),
+                     "push.stream", pushed_at,
+                     {trace::arg("url", item.url),
+                      trace::arg("bytes", item.body_bytes)});
         tr->counters().add("http.h2_pushed_streams");
-        tr->counters().add("http.h2_push_bytes", bytes);
+        tr->counters().add("http.h2_push_bytes", item.body_bytes);
       }
-      if (push_observer_.on_complete) push_observer_.on_complete(url, bytes);
+      if (push_observer_.on_complete) {
+        push_observer_.on_complete(item.url, item.body_bytes);
+      }
+      release(x);
     };
+    const auto parsed = web::parse_url(p.url);
     const bool processable =
-        web::is_processable(web::type_from_ext(web::parse_url(p.url)
-                                                   ? web::parse_url(p.url)->ext
-                                                   : "bin"));
-    conn_->send_chunk(next_stream_++, processable ? 2 : 0, std::move(pc));
+        web::is_processable(web::type_from_ext(parsed ? parsed->ext : "bin"));
+    conn_->send_chunk(sid, processable ? 2 : 0, std::move(pc));
   }
+}
+
+void Http2Session::on_headers(Exchange& x) {
+  const std::vector<PushItem>& promises = x.reply.pushes;
+  if (trace::Recorder* tr = trace::of(net_.loop())) {
+    // PUSH_PROMISE frames become visible to the client with the
+    // triggering response's headers.
+    const std::string lane = stream_lane(x.stream);
+    for (const PushItem& p : promises) {
+      tr->instant(trace::Layer::Http, domain_, lane, "push_promise",
+                  {trace::arg("url", p.url),
+                   trace::arg("bytes", p.body_bytes)});
+      tr->counters().add("http.h2_push_promises");
+    }
+  }
+  if (push_observer_.on_promise) {
+    for (const PushItem& p : promises) {
+      push_observer_.on_promise(p.url, p.body_bytes);
+    }
+  }
+  if (x.handlers.on_headers) x.handlers.on_headers(x.meta);
 }
 
 }  // namespace vroom::http

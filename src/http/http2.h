@@ -11,15 +11,15 @@
 
 #include <cstdint>
 #include <memory>
+#include <memory_resource>
 #include <string>
 #include <vector>
 
-#include "http/message.h"
-#include "net/tcp.h"
+#include "http/exchange.h"
 
 namespace vroom::http {
 
-class Http2Session : public Endpoint {
+class Http2Session : public ExchangeSession {
  public:
   // `domain_id` is the page world's interner id for `domain` (see
   // web/intern.h); 0xffffffff when the caller does not intern.
@@ -29,20 +29,17 @@ class Http2Session : public Endpoint {
                    net::WriterDiscipline::RoundRobin,
                std::uint32_t domain_id = 0xffffffffu);
 
-  void fetch(const Request& req, ResponseHandlers handlers) override;
-  const std::string& domain() const override { return domain_; }
+  void fetch(Request req, ResponseHandlers handlers) override;
 
   std::int64_t bytes_received() const { return conn_->bytes_delivered(); }
 
  private:
   void ensure_connected();
-  void dispatch(const Request& req, ResponseHandlers handlers);
-  void write_response(const Request& req, sim::Time requested,
-                      ServerReply reply, ResponseHandlers handlers);
+  void dispatch(Exchange& x);
+  void respond(Exchange& x) override;
+  // The response's headers reached the client: push promises, then hints.
+  void on_headers(Exchange& x);
 
-  net::Network& net_;
-  std::string domain_;
-  RequestHandler& handler_;
   PushObserver push_observer_;
   net::WriterDiscipline discipline_;
   std::uint32_t domain_id_;
@@ -51,7 +48,7 @@ class Http2Session : public Endpoint {
   std::uint32_t next_stream_ = 1;
   int requests_sent_ = 0;   // HPACK dynamic-table warm-up accounting
   int responses_sent_ = 0;
-  std::vector<std::pair<Request, ResponseHandlers>> pending_;
+  std::pmr::vector<Exchange*> pending_;  // fetched while connecting
 };
 
 }  // namespace vroom::http

@@ -52,8 +52,9 @@ struct ResponseMeta {
 
 struct ResponseHandlers {
   // Fires when the response headers reach the client (hints become visible
-  // here, before the body finishes).
-  std::function<void(const ResponseMeta&)> on_headers;
+  // here, before the body finishes). The handler may take the hints: the
+  // session reads nothing but the URL, id and sizes after it returns.
+  std::function<void(ResponseMeta&)> on_headers;
   // Fires when the full body has been received.
   std::function<void(const ResponseMeta&)> on_complete;
 };
@@ -91,7 +92,7 @@ class RequestHandler {
 class Endpoint {
  public:
   virtual ~Endpoint() = default;
-  virtual void fetch(const Request& req, ResponseHandlers handlers) = 0;
+  virtual void fetch(Request req, ResponseHandlers handlers) = 0;
   virtual const std::string& domain() const = 0;
 };
 

@@ -36,7 +36,7 @@ sim::Time Link::enqueue(std::int64_t bytes) {
   return done;
 }
 
-void Link::transmit(std::int64_t bytes, std::function<void()> on_delivered) {
+void Link::transmit(std::int64_t bytes, sim::SmallFn on_delivered) {
   const sim::Time done = enqueue(bytes);
   loop_.schedule_at(done, std::move(on_delivered));
 }

@@ -9,9 +9,9 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 
 #include "sim/event_loop.h"
+#include "sim/small_fn.h"
 
 namespace vroom::net {
 
@@ -26,7 +26,7 @@ class Link {
 
   // Serializes `bytes` through the link; `on_delivered` fires when the last
   // bit clears the link. Transmissions queue FIFO behind earlier ones.
-  void transmit(std::int64_t bytes, std::function<void()> on_delivered);
+  void transmit(std::int64_t bytes, sim::SmallFn on_delivered);
 
   // transmit() minus the completion event: identical FIFO accounting
   // (busy_until/busy_time/total_bytes) and the identical trace counters,

@@ -9,12 +9,14 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <memory_resource>
 #include <string>
 #include <vector>
 
 // (sim::Rng is used for deterministic loss draws.)
 
 #include "net/link.h"
+#include "sim/arena.h"
 #include "sim/random.h"
 #include "sim/time.h"
 
@@ -93,6 +95,11 @@ class Network {
   Network(sim::EventLoop& loop, NetworkConfig config, std::uint64_t rtt_seed);
 
   sim::EventLoop& loop() { return loop_; }
+  // Backs the per-load storage of the connections and HTTP sessions built
+  // on this network (TCP stream tables and queues, exchange records), so a
+  // buffer one of them frees serves the next that needs one of its size
+  // class (DESIGN.md §10). The network must outlive them.
+  std::pmr::memory_resource* memory() { return &memory_; }
   const NetworkConfig& config() const { return config_; }
   Link& downlink() { return downlink_; }
   Link& uplink() { return uplink_; }
@@ -128,6 +135,7 @@ class Network {
 
  private:
   sim::EventLoop& loop_;
+  sim::RecyclingResource memory_;
   NetworkConfig config_;
   Link downlink_;
   Link uplink_;

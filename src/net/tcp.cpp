@@ -17,7 +17,15 @@ TcpConnection::TcpConnection(Network& net, std::string domain, bool needs_dns,
       lane_("conn#" + std::to_string(net.alloc_conn_id())),
       needs_dns_(needs_dns),
       discipline_(discipline),
-      rtt_(net_.rtt(domain_id, domain_)) {
+      rtt_(net_.rtt(domain_id, domain_)),
+      streams_(net.memory()),
+      chunks_(net.memory()),
+      stream_index_(net.memory()),
+      active_(net.memory()),
+      requests_(net.memory()),
+      to_link_{sim::Fifo<Segment>(net.memory()),
+               sim::Fifo<Segment>(net.memory())},
+      ledger_(net.memory()) {
   const auto& cfg = net_.config();
   cwnd_ = static_cast<std::int64_t>(cfg.init_cwnd_segments) * cfg.mss_bytes;
   max_cwnd_ = static_cast<std::int64_t>(cfg.max_cwnd_segments) * cfg.mss_bytes;
@@ -31,7 +39,7 @@ TcpConnection::~TcpConnection() {
   }
 }
 
-void TcpConnection::connect(std::function<void()> on_established) {
+void TcpConnection::connect(sim::SmallFn on_established) {
   assert(!established_);
   const auto& cfg = net_.config();
   sim::Time setup = rtt_;  // TCP 3-way handshake (client sees 1 RTT)
@@ -39,8 +47,8 @@ void TcpConnection::connect(std::function<void()> on_established) {
   if (needs_dns_) setup += cfg.dns_lookup;
   setup += static_cast<sim::Time>(cfg.tls_handshake_rtts) * rtt_;
   const sim::Time started = net_.loop().now();
-  net_.loop().schedule_in(setup, [this, started,
-                                  cb = std::move(on_established)] {
+  on_established_ = std::move(on_established);
+  net_.loop().schedule_in(setup, [this, started] {
     established_ = true;
     if (trace::Recorder* tr = trace::of(net_.loop())) {
       tr->complete(trace::Layer::Net, domain_, lane_, "connect", started,
@@ -50,28 +58,39 @@ void TcpConnection::connect(std::function<void()> on_established) {
       tr->counters().add("net.connections");
       if (needs_dns_) tr->counters().add("net.dns_lookups");
     }
+    sim::SmallFn cb = std::move(on_established_);
     cb();
   });
 }
 
 void TcpConnection::send_request(std::int64_t bytes,
-                                 std::function<void()> deliver_at_server) {
+                                 sim::SmallFn deliver_at_server) {
   assert(established_);
   // Uplink serialization at the client, then propagation to the origin.
-  const sim::Time half_rtt = rtt_ / 2;
-  net_.uplink().transmit(bytes,
-                         [this, half_rtt, cb = std::move(deliver_at_server)] {
-                           net_.loop().schedule_in(half_rtt, cb);
-                         });
+  // The callback waits in requests_ rather than in the transmit closure,
+  // which keeps that closure one pointer wide.
+  requests_.push_back(std::move(deliver_at_server));
+  net_.uplink().transmit(bytes, [this] {
+    sim::SmallFn cb = std::move(requests_.front());
+    requests_.pop_front();
+    net_.loop().schedule_in(rtt_ / 2, std::move(cb));
+  });
 }
 
 TcpConnection::Stream& TcpConnection::stream_for(std::uint32_t id,
                                                  int priority) {
-  const auto it = stream_index_.find(id);
-  if (it != stream_index_.end()) return streams_[it->second];
-  stream_index_.emplace(id, streams_.size());
-  streams_.push_back(Stream{id, priority, {}, 0, 0});
-  return streams_.back();
+  const auto it = std::lower_bound(
+      stream_index_.begin(), stream_index_.end(), id,
+      [](const auto& entry, std::uint32_t key) { return entry.first < key; });
+  if (it != stream_index_.end() && it->first == id) {
+    return streams_[it->second];
+  }
+  stream_index_.insert(
+      it, {id, static_cast<std::uint32_t>(streams_.size())});
+  Stream& s = streams_.emplace_back();
+  s.id = id;
+  s.priority = priority;
+  return s;
 }
 
 void TcpConnection::activate(std::size_t stream_index) {
@@ -95,8 +114,15 @@ void TcpConnection::send_chunk(std::uint32_t stream_id, int priority,
   const std::int64_t bytes = std::max<std::int64_t>(chunk.bytes, 1);
   if (net_.delivery_audit() != nullptr) audit_chunk(chunk);
   Stream& s = stream_for(stream_id, priority);
-  const bool was_exhausted = s.exhausted();
-  s.chunks.push_back(PendingChunk{std::move(chunk), bytes, bytes, bytes});
+  const bool was_exhausted = exhausted(s);
+  const auto index = static_cast<std::uint32_t>(chunks_.size());
+  chunks_.push_back(PendingChunk{std::move(chunk), bytes, bytes, bytes});
+  if (s.tail != kNoChunk) chunks_[s.tail].next = index;
+  s.tail = index;
+  for (std::uint32_t* cursor :
+       {&s.send_cursor, &s.deliver_cursor, &s.link_cursor}) {
+    if (*cursor == kNoChunk) *cursor = index;
+  }
   if (was_exhausted) {
     activate(static_cast<std::size_t>(&s - streams_.data()));
   }
@@ -109,11 +135,13 @@ void TcpConnection::audit_chunk(Chunk& chunk) {
   ++audit_.chunks;
   const std::size_t i = audit_fired_.size();
   audit_fired_.push_back(0);
-  chunk.on_first_byte = [this, i, cb = std::move(chunk.on_first_byte)] {
+  chunk.on_first_byte = [this, i,
+                         cb = std::move(chunk.on_first_byte)]() mutable {
     if (audit_fired_[i]++ != 0) ++audit_.misfires;
     if (cb) cb();
   };
-  chunk.on_delivered = [this, i, cb = std::move(chunk.on_delivered)] {
+  chunk.on_delivered = [this, i,
+                        cb = std::move(chunk.on_delivered)]() mutable {
     if (audit_fired_[i]++ == 1) {
       ++audit_.chunks_completed;
     } else {
@@ -176,19 +204,19 @@ void TcpConnection::pump() {
     Stream* s = pick_stream();
     if (s == nullptr) break;
     // Advance the stream's send cursor to a chunk with bytes left.
-    while (s->send_cursor < s->chunks.size() &&
-           s->chunks[s->send_cursor].to_send == 0) {
-      ++s->send_cursor;
+    while (s->send_cursor != kNoChunk &&
+           chunks_[s->send_cursor].to_send == 0) {
+      s->send_cursor = chunks_[s->send_cursor].next;
     }
-    if (s->send_cursor >= s->chunks.size()) continue;
-    PendingChunk& pc = s->chunks[s->send_cursor];
+    if (s->send_cursor == kNoChunk) continue;
+    PendingChunk& pc = chunks_[s->send_cursor];
     const std::int64_t seg = std::min(mss, pc.to_send);
     pc.to_send -= seg;
     inflight_ += seg;
     s->inflight += seg;
     const std::size_t stream_index =
         static_cast<std::size_t>(s - streams_.data());
-    if (s->exhausted()) deactivate(stream_index);
+    if (exhausted(*s)) deactivate(stream_index);
     // A lost segment is recovered after a retransmission timeout and costs
     // the flow half its window; the retransmit then takes the normal path.
     int queue = 0;
@@ -233,11 +261,11 @@ void TcpConnection::arrive(int queue, std::size_t count) {
     // segment ahead of it, and only events keep such ties in order.
     bool edge = s.linked == s.link_chunk_start || delivered == start;
     s.linked += seg.bytes;
-    while (s.link_cursor < s.chunks.size() &&
-           s.linked >= s.link_chunk_start + s.chunks[s.link_cursor].size) {
+    while (s.link_cursor != kNoChunk &&
+           s.linked >= s.link_chunk_start + chunks_[s.link_cursor].size) {
       edge = true;
-      s.link_chunk_start += s.chunks[s.link_cursor].size;
-      ++s.link_cursor;
+      s.link_chunk_start += chunks_[s.link_cursor].size;
+      s.link_cursor = chunks_[s.link_cursor].next;
     }
     s.uncredited += seg.bytes;
     uncredited_total_ += seg.bytes;
@@ -265,24 +293,30 @@ void TcpConnection::arrive(int queue, std::size_t count) {
 void TcpConnection::deliver(std::uint32_t stream_index, std::int64_t bytes,
                             std::int64_t total, std::uint64_t ack_index) {
   bytes_delivered_total_ += total;
-  Stream& s = streams_[stream_index];
   std::int64_t remaining = bytes;
-  while (remaining > 0 && s.deliver_cursor < s.chunks.size()) {
-    PendingChunk& pc = s.chunks[s.deliver_cursor];
-    if (pc.to_deliver == 0) {
-      ++s.deliver_cursor;
+  // Callbacks may send more chunks, which can grow chunks_ and streams_:
+  // the loop re-reads both by index, and each callback is moved out of its
+  // chunk before it runs.
+  while (remaining > 0) {
+    const std::uint32_t i = streams_[stream_index].deliver_cursor;
+    if (i == kNoChunk) break;
+    if (chunks_[i].to_deliver == 0) {
+      streams_[stream_index].deliver_cursor = chunks_[i].next;
       continue;
     }
-    if (!pc.first_byte_fired) {
-      pc.first_byte_fired = true;
-      if (pc.chunk.on_first_byte) pc.chunk.on_first_byte();
+    if (!chunks_[i].first_byte_fired) {
+      chunks_[i].first_byte_fired = true;
+      sim::SmallFn cb = std::move(chunks_[i].chunk.on_first_byte);
+      if (cb) cb();
     }
+    PendingChunk& pc = chunks_[i];
     const std::int64_t credit = std::min(remaining, pc.to_deliver);
     pc.to_deliver -= credit;
     remaining -= credit;
     if (pc.to_deliver == 0) {
-      if (pc.chunk.on_delivered) pc.chunk.on_delivered();
-      ++s.deliver_cursor;
+      sim::SmallFn cb = std::move(pc.chunk.on_delivered);
+      if (cb) cb();
+      streams_[stream_index].deliver_cursor = chunks_[i].next;
     }
   }
   // The ACK is sent after the callbacks ran, as the per-segment model

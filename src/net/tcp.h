@@ -20,16 +20,24 @@
 //   * Ordered   — streams drain strictly in first-write order, the ordered
 //     response writer Vroom adds to Mahimahi (§5.1).
 // HTTP/1.1 uses a single stream per connection, where the two coincide.
+//
+// Storage is flat (DESIGN.md §10): every chunk of every stream lives in one
+// connection-wide vector, each stream threading its chunks by index; the
+// segments on their way to the link and the ACK ledger are index FIFOs; and
+// callbacks are sim::SmallFn. All of it comes from the network's memory
+// resource, which recycles freed buffers across the load's connections, so
+// a connection's allocations grow with its window, not its traffic.
 #pragma once
 
 #include <cstdint>
-#include <deque>
-#include <functional>
+#include <memory_resource>
 #include <string>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "net/network.h"
+#include "sim/fifo.h"
+#include "sim/small_fn.h"
 
 namespace vroom::net {
 
@@ -39,8 +47,8 @@ class TcpConnection {
  public:
   struct Chunk {
     std::int64_t bytes = 0;
-    std::function<void()> on_first_byte;  // first segment delivered (headers)
-    std::function<void()> on_delivered;   // all bytes delivered
+    sim::SmallFn on_first_byte;  // first segment delivered (headers)
+    sim::SmallFn on_delivered;   // all bytes delivered
   };
 
   // `needs_dns` should be true for the first connection to a domain within a
@@ -63,7 +71,7 @@ class TcpConnection {
 
   // Performs DNS + TCP handshake + TLS setup, then fires `on_established`.
   // Must be called exactly once.
-  void connect(std::function<void()> on_established);
+  void connect(sim::SmallFn on_established);
 
   // Per-stream flow-control window; defaults to the network config's value.
   // Multi-stream (HTTP/2) connections enforce it; single-stream HTTP/1.1
@@ -72,8 +80,7 @@ class TcpConnection {
 
   // Client -> server. `deliver_at_server` fires when the request reaches the
   // origin (uplink serialization + half RTT). Valid once established.
-  void send_request(std::int64_t bytes,
-                    std::function<void()> deliver_at_server);
+  void send_request(std::int64_t bytes, sim::SmallFn deliver_at_server);
 
   // Server -> client. Chunks within one stream drain FIFO; across streams
   // the writer discipline decides: RoundRobin serves the highest-priority
@@ -88,36 +95,34 @@ class TcpConnection {
   std::int64_t bytes_delivered() const { return bytes_delivered_total_; }
 
  private:
+  static constexpr std::uint32_t kNoChunk = 0xffffffffu;
+
   struct PendingChunk {
     Chunk chunk;
     std::int64_t size;  // bytes on the wire (at least 1)
     std::int64_t to_send;
     std::int64_t to_deliver;
+    std::uint32_t next = kNoChunk;  // the stream's next chunk in chunks_
     bool first_byte_fired = false;
   };
+  // A stream is a FIFO of chunks threaded through chunks_ by index. Each
+  // cursor names a chunk of the stream, or kNoChunk once it has passed the
+  // stream's last chunk; send_chunk() points every such cursor at the chunk
+  // it appends, which is where a past-the-end position lands.
   struct Stream {
     std::uint32_t id = 0;
     int priority = 0;
-    std::deque<PendingChunk> chunks;
-    std::size_t send_cursor = 0;     // first chunk with to_send > 0
-    std::size_t deliver_cursor = 0;  // first chunk with to_deliver > 0
-    std::int64_t inflight = 0;       // un-acknowledged bytes (flow control)
+    std::uint32_t tail = kNoChunk;            // last chunk written
+    std::uint32_t send_cursor = kNoChunk;     // first chunk with to_send > 0
+    std::uint32_t deliver_cursor = kNoChunk;  // first chunk with to_deliver > 0
+    std::int64_t inflight = 0;  // un-acknowledged bytes (flow control)
     // Access-link bookkeeping. The link is FIFO, so when a segment is
     // enqueued its place in the stream's delivered bytes is already fixed:
     // it covers bytes linked+1 .. linked+seg.
-    std::int64_t linked = 0;            // bytes enqueued on the downlink
-    std::size_t link_cursor = 0;        // chunk holding byte linked+1
-    std::int64_t link_chunk_start = 0;  // bytes before chunk link_cursor
-    std::int64_t uncredited = 0;        // enqueued since the last edge
-    // Exact "no bytes left to send": chunks after send_cursor always have
-    // to_send > 0 (pump drains strictly in order), so checking the cursor
-    // chunk suffices. Transitions are tracked in `active_` — pick_stream()
-    // scans only non-exhausted streams per pumped segment.
-    bool exhausted() const {
-      return send_cursor >= chunks.size() ||
-             (send_cursor == chunks.size() - 1 &&
-              chunks[send_cursor].to_send == 0);
-    }
+    std::int64_t linked = 0;                // bytes enqueued on the downlink
+    std::uint32_t link_cursor = kNoChunk;   // chunk holding byte linked+1
+    std::int64_t link_chunk_start = 0;      // bytes before chunk link_cursor
+    std::int64_t uncredited = 0;            // enqueued since the last edge
   };
   // A segment between pump() and the access link.
   struct Segment {
@@ -133,6 +138,14 @@ class TcpConnection {
     std::int64_t bytes;
   };
 
+  // Exact "no bytes left to send": chunks after send_cursor always have
+  // to_send > 0 (pump drains strictly in order), so checking the cursor
+  // chunk suffices. Transitions are tracked in `active_` — pick_stream()
+  // scans only non-exhausted streams per pumped segment.
+  bool exhausted(const Stream& s) const {
+    return s.send_cursor == kNoChunk ||
+           (s.send_cursor == s.tail && chunks_[s.tail].to_send == 0);
+  }
   Stream& stream_for(std::uint32_t id, int priority);
   Stream* pick_stream();
   // Maintain `active_` (sorted indices of non-exhausted streams) across the
@@ -165,14 +178,19 @@ class TcpConnection {
   WriterDiscipline discipline_;
   sim::Time rtt_;
   bool established_ = false;
+  sim::SmallFn on_established_;  // held until the handshake completes
 
-  std::vector<Stream> streams_;  // in first-write order
-  // Stream id -> index into streams_ (stream_for without the linear scan).
-  std::unordered_map<std::uint32_t, std::size_t> stream_index_;
+  std::pmr::vector<Stream> streams_;  // in first-write order
+  // Every stream's chunks, in write order (see Stream).
+  std::pmr::vector<PendingChunk> chunks_;
+  // (stream id, index into streams_), sorted by id: stream_for without the
+  // linear scan. HTTP/2 opens streams in increasing id order, so inserts
+  // append.
+  std::pmr::vector<std::pair<std::uint32_t, std::uint32_t>> stream_index_;
   // Sorted indices of non-exhausted streams; the subsequence of streams_
   // both writer disciplines actually consider, so scanning it preserves
   // their pick order exactly while skipping the drained (typical) majority.
-  std::vector<std::size_t> active_;
+  std::pmr::vector<std::size_t> active_;
   std::size_t rr_next_ = 0;
 
   std::int64_t cwnd_ = 0;
@@ -182,12 +200,15 @@ class TcpConnection {
   std::int64_t bytes_delivered_total_ = 0;
   std::int64_t uncredited_total_ = 0;  // enqueued since the last edge
 
+  // Requests serializing on the uplink, oldest first: the link is FIFO, so
+  // they clear it in this order.
+  sim::Fifo<sim::SmallFn> requests_;
   // Segments on their way to the access link: [0] arrive half an RTT after
   // pump() sent them, [1] a retransmission timeout later (lost once).
-  std::deque<Segment> to_link_[2];
+  sim::Fifo<Segment> to_link_[2];
   // The ACK ledger: one entry per delivered segment, in delivery order, so
   // keys strictly increase. ledger_base_ is the absolute index of front().
-  std::deque<Ack> ledger_;
+  sim::Fifo<Ack> ledger_;
   std::uint64_t ledger_base_ = 0;
   sim::EventId ack_timer_;
   bool ack_armed_ = false;

@@ -1,5 +1,7 @@
 #include "sim/arena.h"
 
+#include <bit>
+#include <cstddef>
 #include <cstring>
 
 namespace vroom::sim {
@@ -8,6 +10,20 @@ namespace {
 
 std::size_t align_up(std::size_t n, std::size_t align) {
   return (n + align - 1) & ~(align - 1);
+}
+
+// The size class of a recyclable request: the smallest c with
+// kMinBlock << c >= bytes.
+std::size_t size_class(std::size_t bytes) {
+  return bytes <= RecyclingResource::kMinBlock
+             ? 0
+             : static_cast<std::size_t>(std::bit_width(
+                   (bytes - 1) / RecyclingResource::kMinBlock));
+}
+
+bool recyclable(std::size_t bytes, std::size_t align) {
+  return bytes <= RecyclingResource::kMaxBlock &&
+         align <= alignof(std::max_align_t);
 }
 
 }  // namespace
@@ -57,6 +73,37 @@ void Arena::reset() {
   current_ = 0;
   offset_ = 0;
   bytes_used_ = 0;
+}
+
+RecyclingResource::~RecyclingResource() {
+  for (std::size_t c = 0; c < kClasses; ++c) {
+    while (free_[c] != nullptr) {
+      void* p = free_[c];
+      free_[c] = *static_cast<void**>(p);
+      upstream_->deallocate(p, kMinBlock << c, alignof(std::max_align_t));
+    }
+  }
+}
+
+void* RecyclingResource::do_allocate(std::size_t bytes, std::size_t align) {
+  if (!recyclable(bytes, align)) return upstream_->allocate(bytes, align);
+  const std::size_t c = size_class(bytes);
+  if (void* p = free_[c]; p != nullptr) {
+    free_[c] = *static_cast<void**>(p);
+    return p;
+  }
+  return upstream_->allocate(kMinBlock << c, alignof(std::max_align_t));
+}
+
+void RecyclingResource::do_deallocate(void* p, std::size_t bytes,
+                                      std::size_t align) {
+  if (!recyclable(bytes, align)) {
+    upstream_->deallocate(p, bytes, align);
+    return;
+  }
+  const std::size_t c = size_class(bytes);
+  *static_cast<void**>(p) = free_[c];
+  free_[c] = p;
 }
 
 namespace {

@@ -86,6 +86,48 @@ class Arena final : public std::pmr::memory_resource {
   std::size_t bytes_reserved_ = 0;
 };
 
+// A resource that keeps freed blocks for reuse instead of returning them
+// upstream. Requests up to kMaxBlock bytes (at most max_align_t-aligned)
+// are rounded up to a power-of-two size class, and a freed block waits on
+// its class's free list for the next request of that class; anything
+// larger or over-aligned goes straight to the upstream resource. Free
+// blocks go back upstream when the recycler dies.
+//
+// A load's network state (TCP stream tables and queues, HTTP exchange
+// records; DESIGN.md §10) lives in containers that grow and drain through
+// the same few sizes on every connection. Each net::Network owns one
+// recycler, so a buffer one connection outgrows or drains serves the next
+// that needs one of its size class, and the network returns them all to
+// the heap with the load. The per-load arena would not do: it cannot reuse
+// a buffer a growing container abandons. Single-threaded, like the arena.
+class RecyclingResource final : public std::pmr::memory_resource {
+ public:
+  static constexpr std::size_t kMinBlock = 16;
+  static constexpr std::size_t kMaxBlock = std::size_t{1} << 20;
+
+  explicit RecyclingResource(std::pmr::memory_resource* upstream =
+                                 std::pmr::new_delete_resource())
+      : upstream_(upstream) {}
+  ~RecyclingResource() override;
+  RecyclingResource(const RecyclingResource&) = delete;
+  RecyclingResource& operator=(const RecyclingResource&) = delete;
+
+ private:
+  // Size classes kMinBlock, 2*kMinBlock, ..., kMaxBlock.
+  static constexpr std::size_t kClasses = 17;
+  static_assert(kMinBlock << (kClasses - 1) == kMaxBlock);
+
+  void* do_allocate(std::size_t bytes, std::size_t align) override;
+  void do_deallocate(void* p, std::size_t bytes, std::size_t align) override;
+  bool do_is_equal(const std::pmr::memory_resource& other)
+      const noexcept override {
+    return this == &other;
+  }
+
+  std::pmr::memory_resource* upstream_;
+  void* free_[kClasses] = {};  // free blocks, linked through their first word
+};
+
 // Thread-local pool of Arenas: acquire on construction, reset-and-return on
 // destruction — the exact protocol of PooledEventLoop. A fleet worker's
 // consecutive loads reuse the chunks the first load grew, so steady-state

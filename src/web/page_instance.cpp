@@ -83,6 +83,12 @@ std::string format_url(const PageModel& model, const Resource& r,
                   key.full_version, key.user_part, type_ext(r.type));
 }
 
+void append_url(std::string& out, const PageModel& model, const Resource& r,
+                const RealizedKey& key) {
+  append_url(out, r.domain, r.effective_page_id(model.page_id()), r.id,
+             key.full_version, key.user_part, type_ext(r.type));
+}
+
 std::string realize_url(const PageModel& model, const Resource& r,
                         const LoadIdentity& id) {
   return format_url(model, r, realize_key(r, id));
@@ -98,11 +104,14 @@ PageInstance::PageInstance(const PageModel& model, const LoadIdentity& id,
   resources_.reserve(model.size());
   template_by_url_.reserve(model.size());
   const KeyRealizer realize(id);
+  std::string url;  // one buffer for every slot; the interner copies it
   for (const Resource& r : model.resources()) {
     const RealizedKey key = realize(r);
     InstanceResource ir;
     ir.template_id = r.id;
-    ir.url_id = interner_.url_id(format_url(model, r, key));
+    url.clear();
+    append_url(url, model, r, key);
+    ir.url_id = interner_.url_id(url);
     // The interner's arena copy is the one stored string per URL; the
     // instance keeps a view of it.
     ir.url = interner_.url(ir.url_id);

@@ -88,6 +88,9 @@ RealizedKey realize_key(const Resource& r, const LoadIdentity& id);
 // The canonical URL of slot `r` of `model` realized at `key`.
 std::string format_url(const PageModel& model, const Resource& r,
                        const RealizedKey& key);
+// format_url() appending to `out`, for callers that reuse one buffer.
+void append_url(std::string& out, const PageModel& model, const Resource& r,
+                const RealizedKey& key);
 
 // Realizes one slot's URL under an identity: format_url(realize_key(...)).
 // Exposed so server-side resolution can realize with the knowledge a

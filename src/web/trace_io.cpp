@@ -56,18 +56,20 @@ std::optional<PageClass> class_from(const std::string& s) {
   return std::nullopt;
 }
 
-// Splits "key=value key=value ..." tokens of one line into `out`. Tokens
-// without '=' are ignored, so hand-written traces may carry bare notes.
-// Returns the first key given twice, or an empty string: a repeated key is
-// ambiguous, and the caller rejects the line.
+// Splits "key=value key=value ..." tokens of one line into `out`. Returns
+// why the line is malformed, or an empty string: a token without '=' (a
+// field that lost its '=', such as "weight1") and a key given twice are
+// both ambiguous, and the caller rejects the line.
 std::string parse_fields(std::istringstream& line,
                          std::map<std::string, std::string>& out) {
   std::string token;
   while (line >> token) {
     const std::size_t eq = token.find('=');
-    if (eq == std::string::npos) continue;
+    if (eq == std::string::npos) return "token without '=': '" + token + "'";
     std::string key = token.substr(0, eq);
-    if (!out.emplace(key, token.substr(eq + 1)).second) return key;
+    if (!out.emplace(key, token.substr(eq + 1)).second) {
+      return "repeated field '" + key + "'";
+    }
   }
   return {};
 }
@@ -199,8 +201,8 @@ std::optional<PageModel> page_from_trace(const std::string& text,
       return fail("unknown record '" + kind + "'" + at);
     }
     std::map<std::string, std::string> fields;
-    if (const std::string dup = parse_fields(ls, fields); !dup.empty()) {
-      return fail(kind + ": repeated field '" + dup + "'" + at);
+    if (const std::string bad = parse_fields(ls, fields); !bad.empty()) {
+      return fail(kind + ": " + bad + at);
     }
     for (const auto& [key, value] : fields) {
       if (known_fields(kind).count(key) == 0) {

@@ -28,10 +28,10 @@ void write_trace(std::ostream& os, const PageModel& page);
 
 // Parses a trace produced by page_to_trace (or hand-written in the same
 // format). Returns nullopt and fills `error`, naming the line, on
-// malformed input: an unknown record or field, a repeated or empty field,
-// a value that does not parse whole, or one the writer never emits (a
-// default-valued optional field, an out-of-range device axis, an empty
-// list item). Tokens without '=' and '#' lines are ignored.
+// malformed input: an unknown record or field, a token without '=', a
+// repeated or empty field, a value that does not parse whole, or one the
+// writer never emits (a default-valued optional field, an out-of-range
+// device axis, an empty list item). '#' lines are ignored.
 std::optional<PageModel> page_from_trace(const std::string& text,
                                          std::string* error = nullptr);
 

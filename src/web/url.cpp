@@ -23,14 +23,21 @@ std::string make_url(std::string_view domain, std::uint32_t page_id,
                      std::uint32_t user, std::string_view ext) {
   std::string url;
   url.reserve(domain.size() + ext.size() + 32);
-  url.append(domain);
-  url.append("/p").append(std::to_string(page_id));
-  url.append("/r").append(std::to_string(resource_id));
-  url.append("v").append(std::to_string(version));
-  if (user != 0) url.append("u").append(std::to_string(user));
-  url.push_back('.');
-  url.append(ext);
+  append_url(url, domain, page_id, resource_id, version, user, ext);
   return url;
+}
+
+void append_url(std::string& out, std::string_view domain,
+                std::uint32_t page_id, std::uint32_t resource_id,
+                std::uint64_t version, std::uint32_t user,
+                std::string_view ext) {
+  out.append(domain);
+  out.append("/p").append(std::to_string(page_id));
+  out.append("/r").append(std::to_string(resource_id));
+  out.append("v").append(std::to_string(version));
+  if (user != 0) out.append("u").append(std::to_string(user));
+  out.push_back('.');
+  out.append(ext);
 }
 
 std::optional<ParsedUrl> parse_url(std::string_view url) {

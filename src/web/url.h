@@ -33,6 +33,11 @@ struct ParsedUrl {
 std::string make_url(std::string_view domain, std::uint32_t page_id,
                      std::uint32_t resource_id, std::uint64_t version,
                      std::uint32_t user, std::string_view ext);
+// make_url() appending to `out`, for callers that reuse one buffer.
+void append_url(std::string& out, std::string_view domain,
+                std::uint32_t page_id, std::uint32_t resource_id,
+                std::uint64_t version, std::uint32_t user,
+                std::string_view ext);
 
 // Parses a canonical URL; returns nullopt for malformed input.
 std::optional<ParsedUrl> parse_url(std::string_view url);

@@ -1,5 +1,6 @@
 // Per-load arena (sim/arena.h): bump allocation, reset-and-reuse semantics,
-// the thread-local pool protocol, and — the property everything else rides
+// the thread-local pool protocol, the block recycler behind the network
+// layer's per-load storage, and — the property everything else rides
 // on — that a world rebuilt on a reset arena is indistinguishable from one
 // built on a fresh arena (interner ids restart at 0, per-load tables start
 // empty, traced event streams are bit-identical).
@@ -7,6 +8,7 @@
 
 #include <cstdint>
 #include <cstring>
+#include <memory_resource>
 #include <string>
 #include <thread>
 #include <vector>
@@ -151,6 +153,78 @@ TEST(PooledArena, ThreadsGetIndependentArenas) {
     });
   }
   for (auto& th : threads) th.join();
+}
+
+// Counts the calls a RecyclingResource passes on to the heap.
+class CountingResource final : public std::pmr::memory_resource {
+ public:
+  int allocations = 0;
+  int deallocations = 0;
+
+ private:
+  void* do_allocate(std::size_t bytes, std::size_t align) override {
+    ++allocations;
+    return std::pmr::new_delete_resource()->allocate(bytes, align);
+  }
+  void do_deallocate(void* p, std::size_t bytes, std::size_t align) override {
+    ++deallocations;
+    std::pmr::new_delete_resource()->deallocate(p, bytes, align);
+  }
+  bool do_is_equal(const std::pmr::memory_resource& other)
+      const noexcept override {
+    return this == &other;
+  }
+};
+
+TEST(RecyclingResource, ReusesFreedBlocksBySizeClass) {
+  CountingResource heap;
+  {
+    sim::RecyclingResource recycler(&heap);
+    void* a = recycler.allocate(100, 8);
+    recycler.deallocate(a, 100, 8);
+    // 100 and 128 bytes share the 128-byte class: the freed block returns.
+    void* b = recycler.allocate(128, 16);
+    EXPECT_EQ(b, a);
+    // While it is out, the class is empty and the heap serves the next.
+    void* c = recycler.allocate(65, 8);
+    EXPECT_NE(c, a);
+    EXPECT_EQ(heap.allocations, 2);
+    // Another class never takes it.
+    recycler.deallocate(b, 128, 16);
+    void* d = recycler.allocate(129, 8);
+    EXPECT_NE(d, a);
+    EXPECT_EQ(heap.allocations, 3);
+    recycler.deallocate(c, 65, 8);
+    recycler.deallocate(d, 129, 8);
+    EXPECT_EQ(heap.deallocations, 0);
+  }
+  // Every free block goes back to the heap with the recycler.
+  EXPECT_EQ(heap.deallocations, 3);
+}
+
+TEST(RecyclingResource, RegrowingContainerTakesBackItsBuffers) {
+  CountingResource heap;
+  sim::RecyclingResource recycler(&heap);
+  // The second vector grows through the sizes the first one freed.
+  for (int pass = 0; pass < 2; ++pass) {
+    std::pmr::vector<std::uint64_t> v(&recycler);
+    for (std::uint64_t i = 0; i < 1000; ++i) v.push_back(i);
+  }
+  EXPECT_EQ(heap.allocations, 11);  // capacities 1, 2, 4, ..., 1024
+  EXPECT_EQ(heap.deallocations, 0);
+}
+
+TEST(RecyclingResource, LargeAndOverAlignedBlocksBypassTheFreeLists) {
+  CountingResource heap;
+  sim::RecyclingResource recycler(&heap);
+  constexpr std::size_t kLarge = sim::RecyclingResource::kMaxBlock + 1;
+  void* big = recycler.allocate(kLarge, 8);
+  recycler.deallocate(big, kLarge, 8);
+  void* aligned = recycler.allocate(64, 64);
+  EXPECT_EQ(reinterpret_cast<std::uintptr_t>(aligned) % 64, 0u);
+  recycler.deallocate(aligned, 64, 64);
+  EXPECT_EQ(heap.allocations, 2);
+  EXPECT_EQ(heap.deallocations, 2);
 }
 
 // The reset-reuse contract: a world rebuilt on a reset arena behaves exactly

@@ -1,8 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <deque>
 #include <vector>
 
 #include "sim/event_loop.h"
+#include "sim/fifo.h"
 #include "sim/random.h"
 #include "sim/time.h"
 
@@ -144,6 +146,36 @@ TEST(RandomTest, ParetoIsCapped) {
     const double v = rng.pareto(10, 1.2, 500);
     EXPECT_GE(v, 10);
     EXPECT_LE(v, 500);
+  }
+}
+
+// sim::Fifo against std::deque over a seeded mix of pushes and pops: front-
+// relative indexing and order survive rewinds and compactions.
+TEST(FifoTest, MatchesDequeAcrossRewindAndCompaction) {
+  Fifo<int> fifo;
+  std::deque<int> oracle;
+  Rng rng(7);
+  int next = 0;
+  for (int step = 0; step < 20000; ++step) {
+    // Phases of filling and draining, so the queue both empties (rewind)
+    // and wraps a consumed prefix (compaction).
+    const bool fill = (step / 500) % 2 == 0;
+    if (oracle.empty() || rng.chance(fill ? 0.7 : 0.3)) {
+      fifo.push_back(next);
+      oracle.push_back(next);
+      ++next;
+    } else {
+      ASSERT_EQ(fifo.front(), oracle.front());
+      fifo.pop_front();
+      oracle.pop_front();
+    }
+    ASSERT_EQ(fifo.size(), oracle.size());
+    ASSERT_EQ(fifo.empty(), oracle.empty());
+    if (!oracle.empty()) {
+      const std::size_t i = static_cast<std::size_t>(
+          rng.uniform_int(0, static_cast<std::int64_t>(oracle.size()) - 1));
+      ASSERT_EQ(fifo[i], oracle[i]);
+    }
   }
 }
 

@@ -145,8 +145,7 @@ TEST(TraceErrors, AcceptsCommentsAndHandwrittenMinimalPage) {
       "res id=0 parent=-1 type=html via=tag off=0 size=20000 domain=tiny.com "
       "vol=hourly period=1800000000 phase=0 flags=above_fold\n"
       "res id=1 parent=0 type=css via=tag off=0.1 size=5000 domain=tiny.com "
-      "vol=stable period=864000000000 phase=0 flags=cacheable above\n";
-  // (note: trailing junk token without '=' is ignored by the field parser)
+      "vol=stable period=864000000000 phase=0 flags=cacheable\n";
   auto page = page_from_trace(text);
   ASSERT_TRUE(page.has_value());
   EXPECT_EQ(page->size(), 2u);
@@ -155,9 +154,30 @@ TEST(TraceErrors, AcceptsCommentsAndHandwrittenMinimalPage) {
   EXPECT_TRUE(r.finished);
 }
 
+// A field that lost its '=' is one bare token; the parser rejects it and
+// names the token and the line instead of dropping the field.
+TEST(TraceErrors, RejectsBareTokenNamingTheLine) {
+  const std::string head =
+      "page id=9 class=top100 first_party=tiny.com\n"
+      "res id=0 parent=-1 type=html via=tag off=0 size=20000 domain=tiny.com "
+      "vol=hourly period=1800000000 phase=0 ";
+  for (const char* bare : {"flagscacheable,above_fold", "weight1", "above"}) {
+    SCOPED_TRACE(bare);
+    std::string error;
+    EXPECT_FALSE(page_from_trace(head + bare + "\n", &error).has_value());
+    EXPECT_NE(error.find(std::string("'") + bare + "'"), std::string::npos)
+        << error;
+    EXPECT_NE(error.find("(line 2)"), std::string::npos) << error;
+  }
+  // The same page with the '=' in place parses.
+  EXPECT_TRUE(page_from_trace(head + "flags=cacheable,above_fold\n"));
+  EXPECT_TRUE(page_from_trace(head + "weight=1\n"));
+}
+
 // What a trace states, record by record: each non-comment line's kind and
-// its key=value fields. Bare tokens without '=' carry nothing (the parser
-// skips them), and neither do comment or blank lines.
+// its key=value fields; comment and blank lines state nothing. A bare token
+// without '=' counts as a field with no value, which no parsed page
+// carries, so the oracle fails if the parser ever accepts one.
 struct TraceRecord {
   std::string kind;
   std::map<std::string, std::string> fields;
@@ -175,9 +195,8 @@ std::vector<TraceRecord> records_of(const std::string& text) {
     std::string token;
     while (ls >> token) {
       const std::size_t eq = token.find('=');
-      if (eq != std::string::npos) {
-        record.fields[token.substr(0, eq)] = token.substr(eq + 1);
-      }
+      record.fields[token.substr(0, eq)] =
+          eq == std::string::npos ? "" : token.substr(eq + 1);
     }
     out.push_back(std::move(record));
   }
